@@ -673,7 +673,9 @@ func enforceBaseline(rep report, path string) {
 	for _, sc := range base.Scenarios {
 		byName[sc.Name] = sc
 	}
-	deterministic := []string{"pkt_hops", "pkts_delivered", "events", "drops", "tpp_hop_records"}
+	// "events" is deliberately not gated: it counts host work, not
+	// behaviour, and changes whenever the link or engine elides an event.
+	deterministic := []string{"pkt_hops", "pkts_delivered", "drops", "tpp_hop_records"}
 	bad := false
 	for _, sc := range rep.Scenarios {
 		if sc.Name != "fat-tree" && sc.Name != "fat-tree+tpp" {

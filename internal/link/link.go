@@ -10,6 +10,20 @@
 // events re-armed per packet (no closures), and packets themselves recycle
 // through a Pool — see Pool's documentation for the ownership rules of who
 // returns a packet and when.
+//
+// One event per idle-link hop. A FIFO link knows when a packet departs the
+// instant it starts serializing (lineFree = now + size/rate + stall), so
+// startTransmit books the delivery right away and the end-of-serialization
+// (txDone) event exists only when something must happen at that instant: a
+// packet is waiting in the queue, the link went down mid-serialization, or
+// the link is a shard Boundary (which parks at txDone). The events that do
+// run carry the tie-break keys a txDone-per-packet link would have produced
+// — see startTransmit for the key rule — and startTransmit itself (FilterTx,
+// utilization roll, counters, queue occupancy) runs at the same virtual
+// instants, so only the scheduler can tell the difference. One tie is
+// resolved by rule rather than by event order: an Enqueue or SetDown at
+// exactly lineFree, with no txDone armed, finds the line free and the
+// packet departed, as if the elided txDone had fired first in that instant.
 package link
 
 import (
@@ -189,16 +203,26 @@ type Link struct {
 	dst     Receiver
 	dstPort int
 
-	// queue is the drop-tail output queue; inflight holds packets that have
-	// finished serialization and are propagating. Both are reusable rings:
-	// delivery order equals serialization order because propagation delay is
-	// constant per link, so the deliver event just pops the inflight head.
+	// queue is the drop-tail output queue; inflight holds packets whose
+	// delivery is booked: the one serializing (the tail, until lineFree) and
+	// those propagating. Both are reusable rings: delivery order equals
+	// serialization order because propagation delay is constant per link, so
+	// the deliver event just pops the inflight head.
 	queue      Ring
 	inflight   Ring
-	txPkt      *Packet // packet currently serializing
 	queueBytes int
-	busy       bool
 	down       bool // fault plane: link refuses and drops traffic
+
+	// The line is busy while txArmed or now < lineFree. txStart and txSeq
+	// are the current serialization's start instant and the sequence number
+	// reserved there: the key its txDone event is filed under if it is ever
+	// armed (armTxDone). txPkt is the serializing packet of a Boundary link,
+	// which parks at txDone instead of booking a delivery up front.
+	lineFree sim.Time
+	txStart  sim.Time
+	txSeq    uint64
+	txArmed  bool
+	txPkt    *Packet
 
 	// fault, when non-nil, is the armed fault plane's transmit-path hook.
 	// The nil check is the only hot-path cost when no plan is armed.
@@ -227,9 +251,6 @@ type Link struct {
 	// is returned to its pool after the observer runs, so observers must
 	// Clone what they keep.
 	OnDrop func(p *Packet, reason DropReason)
-	// OnTransmit, when set, observes every packet as it begins
-	// serialization (after its TPP would have executed).
-	OnTransmit func(p *Packet)
 }
 
 // New creates a link feeding packets to dst's port dstPort.
@@ -272,15 +293,17 @@ func (l *Link) SetDown(down bool) {
 	if !down {
 		return
 	}
+	if !l.txArmed && l.eng.Now() < l.lineFree {
+		// The fate of the serializing packet is decided at lineFree.
+		l.armTxDone()
+	}
 	for {
 		p := l.queue.Pop()
 		if p == nil {
 			return
 		}
 		l.queueBytes -= p.Size
-		l.stats.DropBytes += uint64(p.Size)
-		l.stats.DropPackets++
-		l.dropPacket(p, DropLinkDown)
+		l.drop(p, DropLinkDown)
 	}
 }
 
@@ -288,9 +311,11 @@ func (l *Link) SetDown(down bool) {
 // hook.
 func (l *Link) SetTxFault(f TxFault) { l.fault = f }
 
-// dropPacket is the terminal drop path: notify the observer, then return
-// the packet to its pool. Observers must Clone to retain.
-func (l *Link) dropPacket(p *Packet, reason DropReason) {
+// drop is the terminal drop path: count the packet, notify the observer,
+// then return the packet to its pool. Observers must Clone to retain.
+func (l *Link) drop(p *Packet, reason DropReason) {
+	l.stats.DropBytes += uint64(p.Size)
+	l.stats.DropPackets++
 	if l.OnDrop != nil {
 		l.OnDrop(p, reason)
 	}
@@ -308,10 +333,12 @@ func (l *Link) PresizeQueues(minWire int) {
 		minWire = 55
 	}
 	l.queue.Reserve(l.cfg.QueueBytes/minWire + 1)
-	// The inflight ring holds packets between serialization and delivery:
-	// at most a bandwidth-delay product's worth of minimum-size frames.
+	// The inflight ring holds packets from start of serialization to
+	// delivery: at most a bandwidth-delay product's worth of minimum-size
+	// frames, plus the one still serializing (its delivery is booked when
+	// serialization starts, see startTransmit).
 	bdpBits := float64(l.cfg.Delay) * float64(l.cfg.RateBps) / 1e9
-	l.inflight.Reserve(int(bdpBits/float64(minWire*8)) + 2)
+	l.inflight.Reserve(int(bdpBits/float64(minWire*8)) + 3)
 }
 
 // QueueLenPackets returns the current queue occupancy in packets.
@@ -376,20 +403,25 @@ func (l *Link) Enqueue(p *Packet) bool {
 	l.roll()
 	l.arrBytes += int64(p.Size)
 	if l.down {
-		l.stats.DropBytes += uint64(p.Size)
-		l.stats.DropPackets++
-		l.dropPacket(p, DropLinkDown)
+		l.drop(p, DropLinkDown)
 		return false
 	}
 	if l.queueBytes+p.Size > l.cfg.QueueBytes {
-		l.stats.DropBytes += uint64(p.Size)
-		l.stats.DropPackets++
-		l.dropPacket(p, DropQueueFull)
+		l.drop(p, DropQueueFull)
 		return false
 	}
 	l.queue.Push(p)
 	l.queueBytes += p.Size
-	if !l.busy {
+	switch {
+	case l.txArmed:
+		// The pending txDone will start this packet (or one ahead of it).
+	case l.eng.Now() < l.lineFree:
+		// First packet to wait on the current serialization: now its end
+		// needs an event.
+		l.armTxDone()
+	default:
+		// No txDone armed and the line free time has come: the line is free.
+		// (At exactly lineFree the elided txDone counts as already fired.)
 		l.startTransmit()
 	}
 	return true
@@ -403,43 +435,62 @@ const (
 	linkArgDeliver = 1
 )
 
-// Handle dispatches the link's resident events.
+// Handle dispatches the link's resident events. Deliver fires once per
+// started serialization; txDone only for the serializations that armed it.
 func (l *Link) Handle(arg uint64) {
 	switch arg {
 	case linkArgTxDone:
-		// Serialization finished: the packet starts propagating and the line
-		// is free for the next head-of-line packet.
-		p := l.txPkt
-		l.txPkt = nil
-		if l.down {
-			// The link went down while this packet serialized; it never
-			// makes it onto the wire.
-			l.stats.DropBytes += uint64(p.Size)
-			l.stats.DropPackets++
-			l.dropPacket(p, DropLinkDown)
-			l.startTransmit()
-			return
-		}
+		// Serialization finished and something waited on it: a queued
+		// packet, a link-down decision, or a boundary crossing.
+		l.txArmed = false
 		if l.boundary != nil {
-			// The receiver lives in another shard: park the packet for the
-			// epoch-barrier drain instead of scheduling delivery here.
-			l.boundary.park(p, l.eng.Now())
-		} else {
-			l.inflight.Push(p)
-			l.eng.ScheduleAfter(l.cfg.Delay, l, linkArgDeliver)
+			p := l.txPkt
+			l.txPkt = nil
+			if l.down {
+				l.drop(p, DropLinkDown)
+			} else {
+				// The receiver lives in another shard: park the packet for the
+				// epoch-barrier drain instead of scheduling delivery here.
+				l.boundary.park(p, l.eng.Now())
+			}
+		} else if l.down {
+			// The link went down while this packet serialized; it never
+			// makes it onto the wire. It is the inflight tail with a
+			// delivery booked: void the slot (positions ahead of it hold)
+			// and let the deliver event find the tombstone.
+			l.drop(l.inflight.VoidTail(), DropLinkDown)
 		}
 		l.startTransmit()
 	case linkArgDeliver:
 		// Deliveries complete in serialization order (constant delay), so
-		// the propagating packet is always the inflight head.
-		l.dst.Receive(l.inflight.Pop(), l.dstPort)
+		// the arriving packet is always the inflight head — nil if it was
+		// voided by a link-down before it departed.
+		if p := l.inflight.Pop(); p != nil {
+			l.dst.Receive(p, l.dstPort)
+		}
 	}
+}
+
+// armTxDone schedules the current serialization's end-of-serialization
+// event, under the key it would have had if scheduled when serialization
+// began: (at = lineFree, ins = txStart, seq = the number reserved there).
+func (l *Link) armTxDone() {
+	l.txArmed = true
+	l.eng.ScheduleKeyed(l.lineFree, l.txStart, l.txSeq, l, linkArgTxDone)
 }
 
 // startTransmit serializes the head-of-line packet. With a fault plane
 // armed it keeps popping past fault-dropped packets until a survivor (or an
 // empty queue); the survivor's serialization may be stretched by the fault
 // plane's jitter stall.
+//
+// The departure time is known here, so the delivery is booked here and the
+// txDone event is elided unless something already waits on it. Key rule:
+// the events keep the tie-break keys of a link that ran txDone for every
+// packet — a sequence number is reserved where that txDone would have taken
+// one (armTxDone files a late-armed txDone under it), and the delivery is
+// filed under ins = lineFree, the instant the txDone handler would have
+// scheduled it.
 func (l *Link) startTransmit() {
 	var (
 		p     *Packet
@@ -448,10 +499,8 @@ func (l *Link) startTransmit() {
 	for {
 		p = l.queue.Pop()
 		if p == nil {
-			l.busy = false
 			return
 		}
-		l.busy = true
 		l.queueBytes -= p.Size
 		if l.fault == nil {
 			break
@@ -461,14 +510,9 @@ func (l *Link) startTransmit() {
 			stall = s
 			break
 		}
-		l.stats.DropBytes += uint64(p.Size)
-		l.stats.DropPackets++
-		l.dropPacket(p, DropFaultLoss)
+		l.drop(p, DropFaultLoss)
 	}
 
-	if l.OnTransmit != nil {
-		l.OnTransmit(p)
-	}
 	txTime := sim.Time(int64(p.Size)*8*int64(sim.Second)/l.cfg.RateBps) + stall
 	if txTime < 1 {
 		txTime = 1
@@ -478,13 +522,25 @@ func (l *Link) startTransmit() {
 	l.stats.TxBytes += uint64(p.Size)
 	l.stats.TxPackets++
 
-	l.txPkt = p
-	l.eng.ScheduleAfter(txTime, l, linkArgTxDone)
+	l.txStart = l.eng.Now()
+	l.lineFree = l.txStart + txTime
+	l.txSeq = l.eng.ReserveSeq()
+	if l.boundary != nil {
+		// Boundaries park at txDone: always armed, no delivery booked here.
+		l.txPkt = p
+		l.armTxDone()
+		return
+	}
+	l.inflight.Push(p)
+	l.eng.ScheduleKeyed(l.lineFree+l.cfg.Delay, l.lineFree, l.eng.ReserveSeq(), l, linkArgDeliver)
+	if l.queue.Len() > 0 {
+		l.armTxDone()
+	}
 }
 
 // Pending reports whether the link still holds or is serializing packets
 // (including packets parked at a shard boundary awaiting their barrier).
 func (l *Link) Pending() bool {
-	return l.busy || l.queue.Len() > 0 ||
+	return l.txArmed || l.eng.Now() < l.lineFree || l.queue.Len() > 0 ||
 		(l.boundary != nil && l.boundary.PendingCrossings() > 0)
 }

@@ -157,20 +157,6 @@ func TestQueueOccupancyVisible(t *testing.T) {
 	eng.Run()
 }
 
-func TestOnTransmitHook(t *testing.T) {
-	eng := sim.New(1)
-	dst := &collector{eng: eng}
-	l := New(eng, Config{RateBps: 100_000_000}, dst, 0)
-	var seen []uint64
-	l.OnTransmit = func(p *Packet) { seen = append(seen, p.ID) }
-	l.Enqueue(&Packet{ID: 5, Size: 100})
-	l.Enqueue(&Packet{ID: 6, Size: 100})
-	eng.Run()
-	if len(seen) != 2 || seen[0] != 5 || seen[1] != 6 {
-		t.Errorf("transmit order: %v", seen)
-	}
-}
-
 func TestFlowKeyHashDeterministic(t *testing.T) {
 	k := FlowKey{Src: 1, Dst: 2, SrcPort: 1000, DstPort: 80, Proto: ProtoTCP}
 	if k.Hash(0) != k.Hash(0) {

@@ -23,20 +23,42 @@ func (r *Ring) Push(p *Packet) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = p
+	r.buf[r.slot(r.n)] = p
 	r.n++
 }
 
+// slot returns the backing-array index of the k-th element from the head
+// (0 <= k <= n). It wraps by compare, not %: Reserve makes lengths
+// non-powers of two, so a modulo would be a real divide per packet.
+func (r *Ring) slot(k int) int {
+	i := r.head + k
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return i
+}
+
 // Pop removes and returns the head packet, zeroing its slot so the ring
-// retains no reference. It returns nil when empty.
+// retains no reference. It returns nil when empty (or for a tombstone, see
+// VoidTail).
 func (r *Ring) Pop() *Packet {
 	if r.n == 0 {
 		return nil
 	}
 	p := r.buf[r.head]
 	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = r.slot(1)
 	r.n--
+	return p
+}
+
+// VoidTail replaces the newest element with a nil tombstone and returns it.
+// The slot stays counted, so the FIFO positions of its neighbours hold and
+// the matching Pop yields nil. The ring must be non-empty.
+func (r *Ring) VoidTail() *Packet {
+	i := r.slot(r.n - 1)
+	p := r.buf[i]
+	r.buf[i] = nil
 	return p
 }
 
@@ -57,7 +79,7 @@ func (r *Ring) Reserve(n int) {
 	}
 	buf := make([]*Packet, n)
 	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)%len(r.buf)]
+		buf[i] = r.buf[r.slot(i)]
 	}
 	r.buf = buf
 	r.head = 0
@@ -72,7 +94,7 @@ func (r *Ring) grow() {
 	}
 	buf := make([]*Packet, newCap)
 	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)%len(r.buf)]
+		buf[i] = r.buf[r.slot(i)]
 	}
 	r.buf = buf
 	r.head = 0

@@ -16,6 +16,11 @@ func TestRingFIFOUnderWraparound(t *testing.T) {
 		var r Ring
 		var ref []*Packet
 		nextID := uint64(0)
+		if trial%2 == 1 {
+			// Reserved lengths are not powers of two: the wrap must not
+			// depend on one.
+			r.Reserve(3 + 2*trial)
+		}
 		for op := 0; op < 2000; op++ {
 			if len(ref) == 0 || rng.Intn(3) != 0 { // bias toward pushes
 				nextID++
@@ -62,6 +67,35 @@ func TestRingPeek(t *testing.T) {
 	}
 	if r.Pop() != a || r.Peek() != b {
 		t.Fatal("pop/peek order wrong")
+	}
+}
+
+// VoidTail tombstones the newest element in place: the slot stays counted,
+// the elements ahead of it keep their positions, and its Pop yields nil.
+func TestRingVoidTail(t *testing.T) {
+	var r Ring
+	r.Reserve(3)
+	a, b, c := &Packet{ID: 1}, &Packet{ID: 2}, &Packet{ID: 3}
+	r.Push(a)
+	r.Push(b)
+	if r.Pop() != a {
+		t.Fatal("pop order wrong")
+	}
+	r.Push(c) // tail slot is now the last of the backing array
+	if got := r.VoidTail(); got != c || r.Len() != 2 {
+		t.Fatalf("VoidTail = %v (len %d), want packet 3 (len 2)", got, r.Len())
+	}
+	r.Push(a) // wraps to slot 0
+	if got := r.VoidTail(); got != a {
+		t.Fatalf("VoidTail across the wrap = %v, want packet 1", got)
+	}
+	if r.Pop() != b || r.Pop() != nil || r.Pop() != nil || r.Len() != 0 {
+		t.Fatal("tombstones must pop as nil, in position")
+	}
+	for i, slot := range r.buf {
+		if slot != nil {
+			t.Fatalf("slot %d still pins packet %d", i, slot.ID)
+		}
 	}
 }
 

@@ -237,7 +237,7 @@ func (c *Channel) drainInto(e *Engine) int {
 	n := c.q.Avail()
 	for i := 0; i < n; i++ {
 		m := c.q.Front()
-		e.scheduleCrossing(m.at, m.ins, m.key, m.h, m.arg)
+		e.ScheduleKeyed(m.at, m.ins, m.key, m.h, m.arg)
 		c.q.Advance()
 	}
 	if n > 0 {

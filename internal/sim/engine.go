@@ -55,10 +55,12 @@ type Handler interface {
 
 // event is a scheduled event record. Ties at the same firing instant are
 // broken by (ins, seq): ins is the virtual time the event was scheduled at
-// and seq the engine-local scheduling order. For a lone engine ins is
-// redundant (seq order already refines insertion-time order, since seq only
-// grows as virtual time advances), so single-engine behavior is unchanged —
-// but sharded runs depend on ins: a packet crossing shards is re-scheduled in
+// and seq the engine-local scheduling order. Among events filed by Schedule
+// on a lone engine ins is redundant (seq order already refines
+// insertion-time order, since seq only grows as virtual time advances); it
+// carries information for events filed by ScheduleKeyed, whose ins is the
+// instant they stand in for rather than the instant they were filed.
+// Sharded runs depend on it: a packet crossing shards is re-scheduled in
 // its destination shard whenever the conservative sync permits, long after
 // same-instant local events were enqueued, and carrying the original
 // emission time as ins restores the tie-break order the lone-engine run
@@ -246,26 +248,45 @@ func (e *Engine) Schedule(t Time, h Handler, arg uint64) {
 	e.sched.push(event{at: t, ins: e.now, seq: e.seq, h: h, arg: arg})
 }
 
-// scheduleCrossing enqueues an event whose insertion stamp is in this
-// engine's past: a shard-crossing delivery drained from a mailbox. ins is
-// the emission time in the source shard, which slots the event into the
-// same tie-break position a lone engine would have given it (where the
-// delivery would have been scheduled the instant transmission completed).
+// ReserveSeq consumes and returns the next scheduling sequence number
+// without scheduling anything — for handlers that elide an intermediate
+// event (see ScheduleKeyed).
+func (e *Engine) ReserveSeq() uint64 {
+	e.seq++
+	return e.seq
+}
+
+// ScheduleKeyed schedules h.Handle(arg) at t (clamped to now) under an
+// explicit tie-break key (ins, seq) instead of (now, next sequence), for
+// callers that must reproduce the key another scheduling instant would have
+// produced. Both schedulers order back-dated and future-dated keys alike.
 //
-// Crossings carry an explicit tie-break key (crossKey: high bit set, then
-// source shard, channel, FIFO index) instead of consuming a local sequence
-// number. Two consequences make the asynchronous conservative engine
-// possible: local events always precede crossings at an equal (at, ins) —
-// exactly what the barrier engine produced, since a crossing was always
-// drained after every same-instant local event had been scheduled — and the
-// firing order no longer depends on *when* the crossing was drained, so
-// mailboxes can be emptied incrementally at any instant the channel clocks
-// permit without perturbing a single local seq number.
-func (e *Engine) scheduleCrossing(at, ins Time, key uint64, h Handler, arg uint64) {
-	if at < e.now {
-		at = e.now
+//   - Handlers that elide an intermediate event. A link knows at start of
+//     serialization when the packet departs, so it books the delivery at
+//     once under ins = the departure instant (where the elided
+//     transmit-done event would have scheduled it), and files the
+//     transmit-done event itself, only if something comes to need it, under
+//     the start instant and the sequence number it took there with
+//     ReserveSeq.
+//
+//   - Shard-crossing deliveries drained from a mailbox. ins is the emission
+//     time in the source shard, which slots the event into the tie-break
+//     position a lone engine would have given it (where the delivery would
+//     have been scheduled the instant transmission completed). Crossings
+//     carry crossKey (high bit set, then source shard, channel, FIFO index)
+//     instead of a local sequence number, with two consequences that make
+//     the asynchronous conservative engine possible: local events always
+//     precede crossings at an equal (at, ins) — exactly what the barrier
+//     engine produced, since a crossing was always drained after every
+//     same-instant local event had been scheduled — and the firing order no
+//     longer depends on *when* the crossing was drained, so mailboxes can
+//     be emptied incrementally at any instant the channel clocks permit
+//     without perturbing a single local seq number.
+func (e *Engine) ScheduleKeyed(t, ins Time, seq uint64, h Handler, arg uint64) {
+	if t < e.now {
+		t = e.now
 	}
-	e.sched.push(event{at: at, ins: ins, seq: key, h: h, arg: arg})
+	e.sched.push(event{at: t, ins: ins, seq: seq, h: h, arg: arg})
 }
 
 // ScheduleAfter schedules h.Handle(arg) d nanoseconds from now.

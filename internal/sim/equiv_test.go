@@ -3,7 +3,9 @@ package sim
 // Scheduler-equivalence guards: the timing wheel must be observationally
 // identical to the reference binary heap. Random schedules — same-tick
 // collisions, bucket-boundary times, far-future overflow timers, events
-// scheduled from inside handlers, back-dated scheduleCrossing stamps, Stop
+// scheduled from inside handlers, back-dated ScheduleKeyed stamps, the
+// elided-event pattern (a future-dated ins, and a ReserveSeq number filed
+// at a later now — into the open ready window or already past due), Stop
 // mid-run, and inclusive/exclusive runTo segments — are replayed on both
 // engines and the full firing traces compared. CI runs these under -race.
 
@@ -28,10 +30,22 @@ type chaos struct {
 	eng   *Engine
 	trace []traceRec
 	depth int
+	held  []heldKey
+}
+
+// heldKey is an event whose sequence number was reserved when it could have
+// been scheduled, to be filed under that key later or never — the way a
+// link holds its transmit-done event back until something waits on it.
+type heldKey struct {
+	at, ins Time
+	seq, id uint64
 }
 
 func (c *chaos) Handle(id uint64) {
 	c.trace = append(c.trace, traceRec{at: c.eng.Now(), id: id})
+	if id&waiterBit != 0 && len(c.held) > 0 {
+		c.file(len(c.held) - 1)
+	}
 	r := c.eng.Rand()
 	// A third of events spawn follow-ups, bounded so runs terminate.
 	if c.depth < 12_000 && r.Intn(3) == 0 {
@@ -40,9 +54,35 @@ func (c *chaos) Handle(id uint64) {
 	}
 }
 
+// waiterBit marks an event that files the newest held event when it fires.
+const waiterBit = 1 << 61
+
+// file schedules held event i under the key reserved for it.
+func (c *chaos) file(i int) {
+	h := c.held[i]
+	c.held = append(c.held[:i], c.held[i+1:]...)
+	c.eng.ScheduleKeyed(h.at, h.ins, h.seq, c, h.id)
+}
+
 // schedule books one follow-up event with an adversarial delay mix.
 func (c *chaos) schedule(r *rand.Rand, id uint64) {
-	switch r.Intn(6) {
+	switch r.Intn(8) {
+	case 6: // elide an intermediate event: hold it back, book what it would have scheduled
+		now := c.eng.Now()
+		mid := now + Time(r.Int63n(4096))
+		c.held = append(c.held, heldKey{at: mid, ins: now, seq: c.eng.ReserveSeq(), id: id ^ 1<<62})
+		c.eng.ScheduleKeyed(mid+Time(r.Int63n(4096)), mid, c.eng.ReserveSeq(), c, id) // ins in the future
+		if r.Intn(2) == 0 {
+			// A waiter turns up before mid and files the held event from
+			// there — usually into the open ready window.
+			c.eng.Schedule(now+Time(r.Int63n(int64(mid-now)+1)), c, id|waiterBit)
+		}
+	case 7: // file the oldest held event after all, long past due
+		if len(c.held) == 0 {
+			c.eng.Schedule(c.eng.Now(), c, id)
+			break
+		}
+		c.file(0)
 	case 0: // same tick
 		c.eng.Schedule(c.eng.Now(), c, id)
 	case 1: // sub-bucket future
@@ -81,7 +121,7 @@ func runScript(sched Scheduler, seed int64, rootN int, stopAt int) []traceRec {
 			for i := r.Intn(4); i > 0; i-- {
 				at := deadline + Time(r.Int63n(2048))
 				ins := deadline - Time(r.Int63n(int64(Millisecond)))
-				e.scheduleCrossing(at, ins, crossKey(0, seg, uint32(i)), c, uint64(seg)<<32|uint64(i))
+				e.ScheduleKeyed(at, ins, crossKey(0, seg, uint32(i)), c, uint64(seg)<<32|uint64(i))
 			}
 		} else {
 			e.RunUntil(deadline)

@@ -26,7 +26,7 @@ package sim
 // single-threaded barrier merge: every crossing carries a deterministic
 // event key — (high bit, source shard, channel, FIFO index) in the seq
 // field, ordered after same-(at, ins) local events — so the instant a
-// mailbox happens to be drained is unobservable (see Engine.scheduleCrossing
+// mailbox happens to be drained is unobservable (see Engine.ScheduleKeyed
 // and crossKey). Determinism therefore does not depend on goroutine
 // scheduling: for a given seed and shard count, results are reproducible
 // and match the single-engine run except for the measure-zero case of two

@@ -348,7 +348,7 @@ func TestCrossingInsertionOrder(t *testing.T) {
 	})
 	e.RunUntil(10)
 	// Simulates a drain: the crossing was emitted at time 2.
-	e.scheduleCrossing(20, 2, crossKey(0, 0, 0), handlerFunc(func() { order = append(order, "crossing-ins2") }), 0)
+	e.ScheduleKeyed(20, 2, crossKey(0, 0, 0), handlerFunc(func() { order = append(order, "crossing-ins2") }), 0)
 	e.Run()
 	if fmt.Sprint(order) != "[crossing-ins2 ins4]" {
 		t.Fatalf("order = %v, want crossing first (earlier insertion stamp)", order)
@@ -363,9 +363,9 @@ func TestCrossingKeyOrder(t *testing.T) {
 	rec := func(id uint64) Handler { return handlerFunc(func() { order = append(order, id) }) }
 	// All fire at t=20 with ins=0. Locals get seq 1,2; crossings get keys.
 	e.Schedule(20, rec(1), 0)
-	e.scheduleCrossing(20, 0, crossKey(1, 3, 0), rec(130), 0)
-	e.scheduleCrossing(20, 0, crossKey(0, 7, 1), rec(71), 0)
-	e.scheduleCrossing(20, 0, crossKey(0, 7, 0), rec(70), 0)
+	e.ScheduleKeyed(20, 0, crossKey(1, 3, 0), rec(130), 0)
+	e.ScheduleKeyed(20, 0, crossKey(0, 7, 1), rec(71), 0)
+	e.ScheduleKeyed(20, 0, crossKey(0, 7, 0), rec(70), 0)
 	e.Schedule(20, rec(2), 0)
 	e.Run()
 	want := "[1 2 70 71 130]"

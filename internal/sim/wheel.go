@@ -24,7 +24,7 @@ package sim
 // key (at, ins, seq). Buckets are unordered until consumed; when the base
 // reaches the earliest bucket, its events are sorted lazily by the full key
 // into the ready run. Events scheduled into the currently open ready window
-// — including back-dated scheduleCrossing insertions at epoch barriers,
+// — including back-dated ScheduleKeyed insertions at epoch barriers,
 // whose ins stamps must land in the same tie-break position a lone engine
 // would have given them — are merge-inserted into the remaining run by the
 // same key. TestSchedulerEquivalence and FuzzSchedulerEquivalence pin the
@@ -99,7 +99,11 @@ func newTimingWheel() *timingWheel {
 	// Mid levels get the deepest bins: periodic work (flow pacing, control
 	// rounds) concentrates at sub-millisecond-to-millisecond horizons, and
 	// one level-1/2 bucket funnels many such timers before cascading.
-	caps := [wheelLevels]int{16, 64, 64, 16}
+	// Level 0 is one allocator size class above 16 events: links book a
+	// delivery a whole serialization ahead, so deliveries that used to merge
+	// straight into the open ready run now wait in a level-0 bucket, and the
+	// steady-state bucket peak of the k=8 scale rows rose from 16 to 17.
+	caps := [wheelLevels]int{18, 64, 64, 16}
 	for l := range w.level {
 		for i := range w.level[l] {
 			w.level[l][i].evs = make([]event, 0, caps[l])

@@ -101,14 +101,15 @@ type ChaosResult struct {
 
 // Fingerprint renders every simulated-behavior field — the string two runs
 // with the same seed must agree on byte-for-byte, regardless of shard count
-// or engine scheduler.
+// or engine scheduler. Events is not one: it is a host-cost proxy that
+// moves with the shard count (boundary links run one more event a packet).
 func (r *ChaosResult) Fingerprint() string {
 	fp := fmt.Sprintf(
-		"base=%.6f floor=%.6f rec=%.6f epochs=%d faults=%+v deaths=%d revives=%d detect=%d missed=%d decays=%d execfail=%d delivered=%d events=%d leaked=%d",
+		"base=%.6f floor=%.6f rec=%.6f epochs=%d faults=%+v deaths=%d revives=%d detect=%d missed=%d decays=%d execfail=%d delivered=%d leaked=%d",
 		r.BaselineMbps, r.FloorMbps, r.RecoveredMbps, r.RecoveryEpochs,
 		r.Faults, r.CongaDeaths, r.CongaRevives, int64(r.CongaDetect),
 		r.RCPMissed, r.RCPDecays, r.ExecFailures, r.DeliveredPkts,
-		r.Events, r.PoolOutstanding)
+		r.PoolOutstanding)
 	if r.WorkloadFP != "" {
 		fp += " wl{" + r.WorkloadFP + "}"
 	}

@@ -34,9 +34,9 @@ const (
 // Pre-refactor golden ScaleResult fingerprints (scaleFingerprint fields:
 // everything simulated, nothing wall-clock).
 const (
-	goldenScaleK4  = "hosts=16 switches=20 links=96 hops=19144 delivered=3421 mb=4.789400000 drops=0 tpp=15705 events=41700"
-	goldenScaleK8  = "hosts=128 switches=80 links=768 hops=26064 delivered=4559 mb=6.382600000 drops=0 tpp=21473 events=56675"
-	goldenScaleK16 = "hosts=1024 switches=320 links=6144 hops=26711 delivered=4557 mb=6.379800000 drops=0 tpp=22103 events=57965"
+	goldenScaleK4  = "hosts=16 switches=20 links=96 hops=19144 delivered=3421 mb=4.789400000 drops=0 tpp=15705"
+	goldenScaleK8  = "hosts=128 switches=80 links=768 hops=26064 delivered=4559 mb=6.382600000 drops=0 tpp=21473"
+	goldenScaleK16 = "hosts=1024 switches=320 links=6144 hops=26711 delivered=4557 mb=6.379800000 drops=0 tpp=22103"
 )
 
 func goldenShards(t *testing.T) []int {
