@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"minions/apps/microburst"
-	"minions/internal/trafficgen"
 	"minions/telemetry"
 	"minions/tppnet"
+	"minions/workload"
 )
 
 // TestExportRecords runs the Figure 1 workload with the monitor's stream
@@ -28,7 +28,7 @@ func TestExportRecords(t *testing.T) {
 	cancel := mon.Export(pipe)
 	defer cancel()
 
-	trafficgen.AllToAll(hosts, trafficgen.AllToAllConfig{
+	allToAll(t, hosts, workload.AllToAllConfig{
 		MsgBytes: 10_000, Load: 0.30, Duration: 200 * tppnet.Millisecond, Seed: 11,
 	})
 	n.RunUntil(250 * tppnet.Millisecond)

@@ -4,9 +4,17 @@ import (
 	"testing"
 
 	"minions/apps/microburst"
-	"minions/internal/trafficgen"
 	"minions/tppnet"
+	"minions/workload"
 )
+
+// allToAll starts the Figure 1 workload on hosts.
+func allToAll(t *testing.T, hosts []*tppnet.Host, cfg workload.AllToAllConfig) {
+	t.Helper()
+	if _, err := workload.AllToAll(cfg).Attach(hosts); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // figure1 runs a scaled-down §2.1 experiment: 6-host dumbbell at 100 Mb/s,
 // all-to-all 10 kB messages at 30% load, every packet instrumented.
@@ -21,7 +29,7 @@ func figure1(t *testing.T, duration tppnet.Time) (*tppnet.Network, *microburst.M
 	if err := mon.Attach(n, nil); err != nil {
 		t.Fatal(err)
 	}
-	trafficgen.AllToAll(hosts, trafficgen.AllToAllConfig{
+	allToAll(t, hosts, workload.AllToAllConfig{
 		MsgBytes: 10_000,
 		Load:     0.30,
 		Duration: duration,
@@ -108,7 +116,7 @@ func TestSamplingReducesCost(t *testing.T) {
 	if err := mon.Attach(n, nil); err != nil {
 		t.Fatal(err)
 	}
-	trafficgen.AllToAll(hosts, trafficgen.AllToAllConfig{
+	allToAll(t, hosts, workload.AllToAllConfig{
 		MsgBytes: 10_000, Load: 0.2, Duration: 300 * tppnet.Millisecond, Seed: 5,
 	})
 	n.RunUntil(400 * tppnet.Millisecond)
@@ -141,7 +149,7 @@ func TestSampleStreamMatchesAggregates(t *testing.T) {
 	}
 	var streamed uint64
 	mon.SampleStream().Subscribe(func(s microburst.Sample) { streamed++ })
-	trafficgen.AllToAll(hosts, trafficgen.AllToAllConfig{
+	allToAll(t, hosts, workload.AllToAllConfig{
 		MsgBytes: 10_000, Load: 0.2, Duration: 200 * tppnet.Millisecond, Seed: 7,
 	})
 	n.RunUntil(300 * tppnet.Millisecond)
@@ -168,7 +176,7 @@ func TestCloseStopsCollection(t *testing.T) {
 	if err := mon.Close(); err != nil {
 		t.Fatal(err)
 	}
-	trafficgen.AllToAll(hosts, trafficgen.AllToAllConfig{
+	allToAll(t, hosts, workload.AllToAllConfig{
 		MsgBytes: 10_000, Load: 0.2, Duration: 100 * tppnet.Millisecond, Seed: 9,
 	})
 	n.RunUntil(200 * tppnet.Millisecond)

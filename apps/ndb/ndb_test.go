@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"minions/apps/ndb"
+	"minions/internal/sim"
 	"minions/tppnet"
 	"minions/tppnet/app"
 )
@@ -100,11 +101,11 @@ func TestLossLocalization(t *testing.T) {
 	// Paced bursts, each larger than the core queue: drops at the left
 	// switch, while the fast host NIC never overflows.
 	for b := 0; b < 10; b++ {
-		n.Eng.At(tppnet.Time(b)*100*tppnet.Millisecond, func() {
+		n.Eng.Schedule(tppnet.Time(b)*100*tppnet.Millisecond, sim.HandlerFunc(func() {
 			for i := 0; i < 50; i++ {
 				h0.Send(h0.NewPacket(h3.ID(), 1000, 8000, tppnet.ProtoUDP, 1300))
 			}
-		})
+		}), 0)
 	}
 	n.RunUntil(2 * tppnet.Second)
 	drops := d.Collector.Drops()

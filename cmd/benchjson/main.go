@@ -62,10 +62,6 @@ func main() {
 	scaleK := flag.Int("scale-k", 8, "fat-tree arity for the shard-scaling sweep (0 disables)")
 	scaleFlows := flag.Int("scale-flows", 256, "flows for the shard-scaling sweep")
 	bigK := flag.Int("big-k", 16, "fat-tree arity for the single-shard large-fabric row (0 disables)")
-	schedName := flag.String("scheduler", "wheel", "engine event scheduler for the default scenarios: wheel or heap")
-	syncName := flag.String("sync", "channel", "shard synchronization mode for sharded scenarios: channel (async per-channel lookahead) or epoch (global-barrier reference)")
-	schedSweep := flag.Bool("sched-sweep", true, "record the A/B scenarios: heap-vs-wheel fat-tree and e2e hop, plus the PUSH-fusion curve")
-	syncSweep := flag.Bool("sync-sweep", true, "record the channel-vs-epoch sharded A/B rows (sync counters quantify synchronization saved)")
 	strictAllocs := flag.Bool("strict-allocs", false, "exit non-zero if any single-shard forward-path scenario reports allocs/op > 0")
 	workloadBench := flag.Bool("workload", true, "record the workload-engine scenarios: fat-tree-incast and fat-tree-heavytail (single shard, so -strict-allocs gates them)")
 	workloadWarmupMs := flag.Int("workload-warmup", 1000, "simulated warmup for the workload-engine scenarios, ms (heavy-tailed specs set record depths for longer than the CBR default warmup)")
@@ -78,15 +74,6 @@ func main() {
 		*repeat = 1
 	}
 	runs = *repeat
-
-	sched, err := tppnet.ParseScheduler(*schedName)
-	if err != nil {
-		fatal(err)
-	}
-	sync, err := tppnet.ParseSyncMode(*syncName)
-	if err != nil {
-		fatal(err)
-	}
 
 	rep := report{
 		Date:      time.Now().Format("2006-01-02"),
@@ -102,14 +89,12 @@ func main() {
 			name += "+tpp"
 		}
 		res, err := bestScale(testbed.ScaleConfig{
-			K:         *k,
-			Flows:     *flows,
-			Duration:  testbed.Time(*durationMs) * testbed.Millisecond,
-			Seed:      *seed,
-			WithTPP:   withTPP,
-			Shards:    *shards,
-			Scheduler: sched,
-			Sync:      sync,
+			K:        *k,
+			Flows:    *flows,
+			Duration: testbed.Time(*durationMs) * testbed.Millisecond,
+			Seed:     *seed,
+			WithTPP:  withTPP,
+			Shards:   *shards,
 		})
 		if err != nil {
 			fatal(err)
@@ -117,7 +102,6 @@ func main() {
 		rep.Scenarios = append(rep.Scenarios, scaleScenario(name, res, map[string]any{
 			"k": *k, "flows": *flows, "duration_ms": *durationMs,
 			"seed": *seed, "with_tpp": withTPP, "shards": *shards,
-			"scheduler": sched.String(),
 		}))
 	}
 
@@ -129,15 +113,13 @@ func main() {
 	// behavior by design.
 	{
 		res, err := bestScale(testbed.ScaleConfig{
-			K:         *k,
-			Flows:     *flows,
-			Duration:  testbed.Time(*durationMs) * testbed.Millisecond,
-			Seed:      *seed,
-			WithTPP:   true,
-			Shards:    *shards,
-			Scheduler: sched,
-			Sync:      sync,
-			Faults:    benchFaultPlan(*seed, testbed.Time(*durationMs)*testbed.Millisecond),
+			K:        *k,
+			Flows:    *flows,
+			Duration: testbed.Time(*durationMs) * testbed.Millisecond,
+			Seed:     *seed,
+			WithTPP:  true,
+			Shards:   *shards,
+			Faults:   benchFaultPlan(*seed, testbed.Time(*durationMs)*testbed.Millisecond),
 		})
 		if err != nil {
 			fatal(err)
@@ -145,7 +127,7 @@ func main() {
 		rep.Scenarios = append(rep.Scenarios, scaleScenario("fat-tree-faults", res, map[string]any{
 			"k": *k, "flows": *flows, "duration_ms": *durationMs,
 			"seed": *seed, "with_tpp": true, "shards": *shards,
-			"scheduler": sched.String(), "faults": true,
+			"faults": true,
 		}))
 	}
 
@@ -164,14 +146,13 @@ func main() {
 			{"fat-tree-heavytail", testbed.WorkloadHeavyTail(0.15)},
 		} {
 			res, err := bestScale(testbed.ScaleConfig{
-				K:         *k,
-				Duration:  testbed.Time(*durationMs) * testbed.Millisecond,
-				Warmup:    testbed.Time(*workloadWarmupMs) * testbed.Millisecond,
-				Seed:      *seed,
-				WithTPP:   true,
-				Shards:    1,
-				Scheduler: sched,
-				Workload:  w.spec,
+				K:        *k,
+				Duration: testbed.Time(*durationMs) * testbed.Millisecond,
+				Warmup:   testbed.Time(*workloadWarmupMs) * testbed.Millisecond,
+				Seed:     *seed,
+				WithTPP:  true,
+				Shards:   1,
+				Workload: w.spec,
 			})
 			if err != nil {
 				fatal(err)
@@ -179,36 +160,8 @@ func main() {
 			rep.Scenarios = append(rep.Scenarios, scaleScenario(w.name, res, map[string]any{
 				"k": *k, "duration_ms": *durationMs, "warmup_ms": *workloadWarmupMs,
 				"seed": *seed, "with_tpp": true, "shards": 1,
-				"scheduler": sched.String(),
-				"workload":  w.name, "workload_fp": res.WorkloadFingerprint,
+				"workload": w.name, "workload_fp": res.WorkloadFingerprint,
 			}))
-		}
-	}
-
-	// The engine-core comparison: the same single-shard fat-tree workload on
-	// the timing wheel and on the reference heap. Simulated behavior is
-	// byte-identical (the scheduler-determinism guards pin it); only the
-	// wall-clock columns move.
-	if *schedSweep {
-		for _, s := range []tppnet.Scheduler{tppnet.SchedulerWheel, tppnet.SchedulerHeap} {
-			res, err := bestScale(testbed.ScaleConfig{
-				K:         *k,
-				Flows:     *flows,
-				Duration:  testbed.Time(*durationMs) * testbed.Millisecond,
-				Seed:      *seed,
-				WithTPP:   true,
-				Shards:    1,
-				Scheduler: s,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			rep.Scenarios = append(rep.Scenarios, scaleScenario(
-				"fat-tree-sched-"+s.String(), res, map[string]any{
-					"k": *k, "flows": *flows, "duration_ms": *durationMs,
-					"seed": *seed, "with_tpp": true, "shards": 1,
-					"scheduler": s.String(),
-				}))
 		}
 	}
 
@@ -226,7 +179,6 @@ func main() {
 				Seed:     *seed,
 				WithTPP:  true,
 				Shards:   sh,
-				Sync:     sync,
 			})
 			if err != nil {
 				fatal(err)
@@ -242,48 +194,18 @@ func main() {
 		}
 	}
 
-	// The synchronization A/B pair: the 4-shard scale workload under the
-	// asynchronous per-channel-lookahead engine and under the global-epoch
-	// reference. Simulated behavior and sync_crossings are byte-identical
-	// (the sync-mode determinism guards pin it); sync_epochs quantifies the
-	// group-wide synchronization the asynchronous engine eliminates, and the
-	// wall-clock columns price what that synchronization cost on this host.
-	if *syncSweep && *scaleK > 0 {
-		for _, m := range []tppnet.SyncMode{tppnet.SyncChannel, tppnet.SyncEpoch} {
-			res, err := bestScale(testbed.ScaleConfig{
-				K:        *scaleK,
-				Flows:    *scaleFlows,
-				Duration: testbed.Time(*durationMs) * testbed.Millisecond,
-				Seed:     *seed,
-				WithTPP:  true,
-				Shards:   4,
-				Sync:     m,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			rep.Scenarios = append(rep.Scenarios, scaleScenario(
-				"fat-tree-sync-"+m.String(), res, map[string]any{
-					"k": *scaleK, "flows": *scaleFlows, "duration_ms": *durationMs,
-					"seed": *seed, "with_tpp": true, "shards": res.Shards,
-				}))
-		}
-	}
-
 	// The large-fabric row: a single-shard k=16 fat-tree (1,024 hosts,
 	// 12k+-entry route tables) under the same TPP workload. This is the
 	// scale point the dense split route tables exist for; allocs/pkt-hop
 	// stays 0 and -strict-allocs holds it there.
 	if *bigK > 0 {
 		res, err := bestScale(testbed.ScaleConfig{
-			K:         *bigK,
-			Flows:     *scaleFlows,
-			Duration:  testbed.Time(*durationMs) * testbed.Millisecond,
-			Seed:      *seed,
-			WithTPP:   true,
-			Shards:    1,
-			Scheduler: sched,
-			Sync:      sync,
+			K:        *bigK,
+			Flows:    *scaleFlows,
+			Duration: testbed.Time(*durationMs) * testbed.Millisecond,
+			Seed:     *seed,
+			WithTPP:  true,
+			Shards:   1,
 		})
 		if err != nil {
 			fatal(err)
@@ -292,7 +214,6 @@ func main() {
 			fmt.Sprintf("fat-tree-big-k%d", *bigK), res, map[string]any{
 				"k": *bigK, "flows": *scaleFlows, "duration_ms": *durationMs,
 				"seed": *seed, "with_tpp": true, "shards": 1,
-				"scheduler": sched.String(),
 			}))
 	}
 
@@ -301,13 +222,13 @@ func main() {
 		if withTPP {
 			name += "+tpp"
 		}
-		ns, allocs, err := measureHop(withTPP, sched, *hopPkts)
+		ns, allocs, err := measureHop(withTPP, *hopPkts)
 		if err != nil {
 			fatal(err)
 		}
 		rep.Scenarios = append(rep.Scenarios, scenario{
 			Name:   name,
-			Config: map[string]any{"packets": *hopPkts, "with_tpp": withTPP, "scheduler": sched.String()},
+			Config: map[string]any{"packets": *hopPkts, "with_tpp": withTPP},
 			Metrics: map[string]float64{
 				"ns_per_pkt":     ns,
 				"allocs_per_pkt": allocs,
@@ -315,30 +236,10 @@ func main() {
 		})
 	}
 
-	if *schedSweep {
-		for _, s := range []tppnet.Scheduler{tppnet.SchedulerWheel, tppnet.SchedulerHeap} {
-			ns, allocs, err := measureHop(true, s, *hopPkts)
-			if err != nil {
-				fatal(err)
-			}
-			rep.Scenarios = append(rep.Scenarios, scenario{
-				Name:   "e2e-hop-sched-" + s.String(),
-				Config: map[string]any{"packets": *hopPkts, "with_tpp": true, "scheduler": s.String()},
-				Metrics: map[string]float64{
-					"ns_per_pkt":     ns,
-					"allocs_per_pkt": allocs,
-				},
-			})
-		}
-	}
-
 	// The PUSH-fusion executor curve: ns per TCPU hop for all-PUSH stat-copy
 	// programs of 2..5 statistics, fused superinstruction vs per-instruction
-	// dispatch. Scheduler-independent, so it rides the same flag as the
-	// other A/B scenarios — a scheduler-focused re-run need not repeat it.
-	if *schedSweep {
-		rep.Scenarios = append(rep.Scenarios, fusionScenario())
-	}
+	// dispatch.
+	rep.Scenarios = append(rep.Scenarios, fusionScenario())
 
 	rep.Scenarios = append(rep.Scenarios, telemetryScenario())
 
@@ -403,9 +304,9 @@ func bestScale(cfg testbed.ScaleConfig) (*testbed.ScaleResult, error) {
 // shard count exceeds the core count get single_core: true, because those
 // points measure synchronization overhead, not speedup, and a reader of the
 // committed JSON must not mistake one for the other. Sharded rows also carry
-// the sync-mode and window-delta synchronization counters (sync_epochs and
-// sync_crossings are deterministic; sync_drains and sync_idle_max move with
-// goroutine scheduling and are diagnostic only).
+// the window-delta synchronization counters (sync_epochs — group-wide sync
+// points — and sync_crossings are deterministic; sync_drains and
+// sync_idle_max move with goroutine scheduling and are diagnostic only).
 func scaleScenario(name string, res *testbed.ScaleResult, cfg map[string]any) scenario {
 	cfg["gomaxprocs"] = runtime.GOMAXPROCS(0)
 	cfg["num_cpu"] = runtime.NumCPU()
@@ -421,11 +322,10 @@ func scaleScenario(name string, res *testbed.ScaleResult, cfg map[string]any) sc
 		"allocs_per_pkt_hop": res.AllocsPerPktHop(),
 	}
 	if res.Shards > 1 {
-		cfg["sync"] = res.Sync.String()
 		if runtime.NumCPU() < res.Shards {
 			cfg["single_core"] = true
 		}
-		m["sync_epochs"] = float64(res.SyncEpochs)
+		m["sync_epochs"] = float64(res.SyncPoints)
 		m["sync_crossings"] = float64(res.SyncCrossings)
 		m["sync_drains"] = float64(res.SyncDrains)
 		m["sync_idle_max"] = float64(res.SyncIdleMax)
@@ -436,8 +336,8 @@ func scaleScenario(name string, res *testbed.ScaleResult, cfg map[string]any) sc
 // measureHop times n steady-state forward cycles through the end-to-end
 // harness over `runs` repetitions, returning the fastest repetition's wall
 // ns and its heap allocations per packet.
-func measureHop(withTPP bool, sched tppnet.Scheduler, n int) (nsPerPkt, allocsPerPkt float64, err error) {
-	e, err := testbed.NewE2EHarnessWith(withTPP, testbed.SimOpts{Scheduler: sched})
+func measureHop(withTPP bool, n int) (nsPerPkt, allocsPerPkt float64, err error) {
+	e, err := testbed.NewE2EHarness(withTPP)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -607,9 +507,9 @@ func telemetryScenario() scenario {
 
 // enforceZeroAllocs fails the run when a single-shard forward-path scenario
 // allocated per packet — the CI gate behind the bench-smoke job. Sharded
-// scenarios are exempt (epoch barriers and worker goroutines allocate off
-// the forward path). Both schedulers measure a literal 0 on a quiet
-// machine; the tiny floor only filters stray background-runtime
+// scenarios are exempt (mailbox segments and worker goroutines allocate off
+// the forward path). The rows measure a literal 0 on a quiet machine; the
+// tiny floor only filters stray background-runtime
 // allocations on shared CI hosts — any real per-packet allocation shows up
 // as >= 1 alloc/op, four orders of magnitude above it.
 func enforceZeroAllocs(rep report) {
@@ -654,12 +554,7 @@ func benchFaultPlan(seed int64, horizon testbed.Time) *tppnet.FaultPlan {
 }
 
 // enforceBaseline holds the fresh no-fault fat-tree rows against a committed
-// snapshot: for each baseline scenario of the same name whose config
-// matches, every deterministic counter must agree within 2%. The fault
-// plane's nil-plan checks in the forward path must not change simulated
-// behavior at all — drift here means the hot path is no longer the one the
-// committed numbers describe. Wall-clock metrics are not compared; they move
-// with the host.
+// snapshot and exits non-zero on any problem baselineProblems finds.
 func enforceBaseline(rep report, path string) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -669,6 +564,24 @@ func enforceBaseline(rep report, path string) {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		fatal(fmt.Errorf("%s: %w", path, err))
 	}
+	problems := baselineProblems(rep, base)
+	for _, p := range problems {
+		fmt.Fprintf(os.Stderr, "benchjson: %s (baseline %s)\n", p, path)
+	}
+	if len(problems) > 0 {
+		os.Exit(1)
+	}
+}
+
+// baselineProblems compares the fat-tree and fat-tree+tpp rows of rep with
+// the baseline's rows of the same name: every deterministic counter must
+// agree within 2%. The fault plane's nil-plan checks in the forward path
+// must not change simulated behavior at all — drift here means the hot path
+// is no longer the one the committed numbers describe. Wall-clock metrics
+// are not compared; they move with the host. A row the baseline has but
+// whose config no longer matches is a problem too, not a skip: a gate that
+// cannot compare anything would otherwise pass forever.
+func baselineProblems(rep, base report) []string {
 	byName := make(map[string]scenario, len(base.Scenarios))
 	for _, sc := range base.Scenarios {
 		byName[sc.Name] = sc
@@ -676,7 +589,7 @@ func enforceBaseline(rep report, path string) {
 	// "events" is deliberately not gated: it counts host work, not
 	// behaviour, and changes whenever the link or engine elides an event.
 	deterministic := []string{"pkt_hops", "pkts_delivered", "drops", "tpp_hop_records"}
-	bad := false
+	var problems []string
 	for _, sc := range rep.Scenarios {
 		if sc.Name != "fat-tree" && sc.Name != "fat-tree+tpp" {
 			continue
@@ -685,63 +598,54 @@ func enforceBaseline(rep report, path string) {
 		if !ok {
 			continue
 		}
-		// JSON round-trips config numbers as float64; fmt.Sprint unifies.
-		// Environment stamps describe the host, not the workload — a
-		// snapshot taken on a different core count must still gate the
-		// deterministic counters.
-		if fmt.Sprint(toSorted(stripEnvStamps(ref.Config))) != fmt.Sprint(toSorted(stripEnvStamps(sc.Config))) {
-			fmt.Fprintf(os.Stderr, "benchjson: %s: config differs from %s, skipping baseline check\n", sc.Name, path)
+		if want, got := comparableConfig(ref.Config), comparableConfig(sc.Config); want != got {
+			problems = append(problems, fmt.Sprintf("%s: config %s differs from the baseline's %s, nothing to compare", sc.Name, got, want))
 			continue
 		}
 		for _, key := range deterministic {
 			got, want := sc.Metrics[key], ref.Metrics[key]
 			if want == 0 {
 				if got != 0 {
-					fmt.Fprintf(os.Stderr, "benchjson: %s: %s = %g, baseline 0\n", sc.Name, key, got)
-					bad = true
+					problems = append(problems, fmt.Sprintf("%s: %s = %g, baseline 0", sc.Name, key, got))
 				}
 				continue
 			}
 			if drift := (got - want) / want; drift > 0.02 || drift < -0.02 {
-				fmt.Fprintf(os.Stderr, "benchjson: %s: %s = %g drifts %.2f%% from baseline %g\n",
-					sc.Name, key, got, drift*100, want)
-				bad = true
+				problems = append(problems, fmt.Sprintf("%s: %s = %g drifts %.2f%% from baseline %g",
+					sc.Name, key, got, drift*100, want))
 			}
 		}
 	}
-	if bad {
-		os.Exit(1)
-	}
+	return problems
 }
 
-// envStampKeys are config entries that describe the machine a snapshot was
-// taken on rather than the simulated workload. They are excluded from the
-// baseline config comparison: sim behavior is host-independent, so the
-// deterministic-counter gate must fire across hosts.
-var envStampKeys = map[string]bool{"gomaxprocs": true, "num_cpu": true, "single_core": true}
-
-func stripEnvStamps(m map[string]any) map[string]any {
-	out := make(map[string]any, len(m))
-	for k, v := range m {
-		if !envStampKeys[k] {
-			out[k] = v
-		}
-	}
-	return out
+// uncomparedKeys are config entries the baseline comparison leaves out.
+// Host stamps describe the machine a snapshot was taken on rather than the
+// simulated workload: sim behavior is host-independent, so the
+// deterministic-counter gate must fire across hosts. Removed options are
+// still stamped in older snapshots ("scheduler": "wheel", "sync":
+// "channel"); the rows they stamped ran on what is now the only engine.
+var uncomparedKeys = map[string]bool{
+	"gomaxprocs": true, "num_cpu": true, "single_core": true, // host stamps
+	"scheduler": true, "sync": true, // removed options
 }
 
-// toSorted renders a config map with deterministic key order for comparison.
-func toSorted(m map[string]any) []string {
+// comparableConfig renders a config map, minus uncomparedKeys, in
+// deterministic key order. JSON round-trips config numbers as float64;
+// formatting with %v unifies them with a fresh run's ints.
+func comparableConfig(m map[string]any) string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
-		keys = append(keys, k)
+		if !uncomparedKeys[k] {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	out := make([]string, len(keys))
 	for i, k := range keys {
 		out[i] = fmt.Sprintf("%s=%v", k, m[k])
 	}
-	return out
+	return fmt.Sprint(out)
 }
 
 func fatal(err error) {

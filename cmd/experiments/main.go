@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"minions/testbed"
-	"minions/tppnet"
 	"minions/workload"
 )
 
@@ -33,14 +32,7 @@ func run() int {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	shards := flag.Int("shards", 1, "topology shards for the simulation-driven figures (fig1, fig2, fig4); results are byte-identical to -shards 1")
-	schedName := flag.String("scheduler", "wheel", "engine event scheduler for the simulation-driven figures: wheel (default) or heap; results are byte-identical either way")
 	flag.Parse()
-
-	sched, err := tppnet.ParseScheduler(*schedName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
 
 	// Profiling hooks so perf work can profile the exact experiment
 	// workloads: go tool pprof ./experiments cpu.pprof
@@ -101,14 +93,14 @@ func run() int {
 
 	section("sec21", func() (string, error) { return testbed.Sec21Table(), nil })
 	section("fig1", func() (string, error) {
-		r, err := testbed.RunFig1(testbed.Fig1Config{Duration: simSecs / 4, Shards: *shards, Scheduler: sched})
+		r, err := testbed.RunFig1(testbed.Fig1Config{Duration: simSecs / 4, Shards: *shards})
 		if err != nil {
 			return "", err
 		}
 		return r.Table(), nil
 	})
 	section("fig2", func() (string, error) {
-		r, err := testbed.RunFig2With(simSecs, testbed.SimOpts{Seed: 1, Shards: *shards, Scheduler: sched})
+		r, err := testbed.RunFig2With(simSecs, testbed.SimOpts{Seed: 1, Shards: *shards})
 		if err != nil {
 			return "", err
 		}
@@ -128,17 +120,14 @@ func run() int {
 				Jitter:        500 * testbed.Microsecond,
 			},
 		}}}
-		r, err := testbed.RunFig1Workload(incast, testbed.Fig1Config{
-			Duration: simSecs / 4, Shards: *shards, Scheduler: sched})
+		r, err := testbed.RunFig1Workload(incast, testbed.Fig1Config{Duration: simSecs / 4, Shards: *shards})
 		if err != nil {
 			return "", err
 		}
 		return r.Table(), nil
 	})
 	section("wl-rcp", func() (string, error) {
-		r, err := testbed.RunRCPWorkload(simSecs/2,
-			testbed.SimOpts{Seed: 1, Shards: *shards, Scheduler: sched},
-			testbed.WorkloadHeavyTail(0.15))
+		r, err := testbed.RunRCPWorkload(simSecs/2, testbed.SimOpts{Seed: 1, Shards: *shards}, testbed.WorkloadHeavyTail(0.15))
 		if err != nil {
 			return "", err
 		}
@@ -163,7 +152,7 @@ func run() int {
 		return r.Table(), nil
 	})
 	section("fig4", func() (string, error) {
-		r, err := testbed.RunFig4With(simSecs/2, testbed.SimOpts{Seed: 1, Shards: *shards, Scheduler: sched})
+		r, err := testbed.RunFig4With(simSecs/2, testbed.SimOpts{Seed: 1, Shards: *shards})
 		if err != nil {
 			return "", err
 		}

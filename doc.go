@@ -18,16 +18,14 @@
 //     tppnet.WithShards(n) runs the network as n topology shards under an
 //     asynchronous conservative parallel discrete-event scheme — per-channel
 //     lookahead, lock-free cross-shard mailboxes, persistent shard workers —
-//     with results byte-identical to the single-engine simulation
-//     (tppnet.WithSyncMode selects the global-epoch reference instead); each
-//     engine schedules events on an amortized-O(1) hierarchical timing wheel
-//     (tppnet.WithScheduler selects the binary-heap reference instead).
-//     Its subpackage minions/tppnet/app is the application framework: the
-//     app.App contract every minion application implements (Attach → Start
-//     → Stop → Close), the resource-tracking app.Base, allocation-free
-//     app.Periodic probe timers, and typed app.Stream telemetry. Writing
-//     your own minion is a supported, first-class use — see
-//     Example_customApp in tppnet/app.
+//     with results byte-identical to the single-engine simulation; each
+//     engine schedules events on an amortized-O(1) hierarchical timing
+//     wheel. Its subpackage minions/tppnet/app is the application
+//     framework: the app.App contract every minion application implements
+//     (Attach → Start → Stop → Close), the resource-tracking app.Base,
+//     allocation-free app.Periodic probe timers, and typed app.Stream
+//     telemetry. Writing your own minion is a supported, first-class use —
+//     see Example_customApp in tppnet/app.
 //
 //   - minions/apps/* — the five §2 applications of the paper as public
 //     packages on the app contract, each with the uniform New(cfg) →
@@ -47,9 +45,9 @@
 //     tppnet.WithFaults(plan) and injected at the link transmit path and
 //     switch ingress behind nil checks that leave the no-fault hot path
 //     allocation-free. Identical (topology, workload, plan) tuples replay
-//     byte-identically across runs, shard counts and schedulers; the apps
-//     layer above is built to survive it (CONGA* dead-path reroute, RCP*
-//     missed-round rate decay, host executor retry with backoff), and
+//     byte-identically across runs and shard counts; the apps layer above
+//     is built to survive it (CONGA* dead-path reroute, RCP* missed-round
+//     rate decay, host executor retry with backoff), and
 //     faults.Export/ExportDrops make chaos runs observable through the
 //     telemetry layer below. testbed.RunChaos is the ready-made scenario.
 //
@@ -59,10 +57,10 @@
 //     policies; telemetry.Export bridges any typed app.Stream into it, and
 //     each apps/* package ships a canonical record encoder. Its subpackage
 //     minions/telemetry/trace is the versioned binary packet-trace format:
-//     trace.Start taps every host transmit of a running simulation, and a
-//     captured trace replays through internal/trafficgen into a rebuilt
-//     topology with byte-identical results. cmd/tppdump decodes, filters
-//     and summarizes trace files.
+//     trace.Start taps every host transmit of a running simulation, and
+//     trace.Replay re-injects a captured trace into a rebuilt topology with
+//     byte-identical results. cmd/tppdump decodes, filters and summarizes
+//     trace files.
 //
 //   - minions/workload — the scriptable traffic engine that feeds all of
 //     the above: a declarative, seedable workload.Spec (heavy-tailed
@@ -73,12 +71,11 @@
 //     allocation-free simulator handlers. Sampling is O(1) inverse-CDF /
 //     alias tables; the compiled runner pre-commits pool, queue-ring and
 //     TPP-buffer headroom so warmed runs hold 0 allocs/pkt-hop, and its
-//     Fingerprint is byte-identical across shard counts, sync modes and
-//     schedulers.
+//     Fingerprint is byte-identical across shard counts.
 //
 //   - minions/testbed — the reproduction harness on top of all of the
 //     above: one runner per table/figure of the evaluation, parameterized
-//     by a single SimOpts option struct (seed, shards, scheduler), with
+//     by a single SimOpts option struct (seed, shards, fault plan), with
 //     trace-captured and replayed variants of the Figure 2 and Figure 4
 //     runners, a telemetry-export hook on the fat-tree scale harness,
 //     canned workload specs (WorkloadHeavyTail, WorkloadIncastFatTree)

@@ -10,8 +10,8 @@ import (
 	"log"
 
 	"minions/apps/microburst"
-	"minions/testbed"
 	"minions/tppnet"
+	"minions/workload"
 )
 
 func main() {
@@ -37,12 +37,14 @@ func main() {
 		}
 	})
 
-	testbed.AllToAll(hosts, testbed.AllToAllConfig{
+	if _, err := n.AttachWorkload(workload.AllToAll(workload.AllToAllConfig{
 		MsgBytes: 10_000,
 		Load:     0.30,
 		Duration: 2 * tppnet.Second,
 		Seed:     11,
-	})
+	})); err != nil {
+		log.Fatal(err)
+	}
 	n.RunUntil(2*tppnet.Second + 100*tppnet.Millisecond)
 
 	fmt.Printf("per-packet queue occupancy (%d samples, TPP adds %d B/pkt)\n",

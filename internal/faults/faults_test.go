@@ -53,12 +53,12 @@ func randomPlan(seed int64, horizon sim.Time) *faults.Plan {
 }
 
 // chaosRun drives a TPP-instrumented dumbbell under the plan on the given
-// scheduler and shard count, drains it, and returns (fingerprint, leaked).
+// shard count, drains it, and returns (fingerprint, leaked).
 // The fingerprint covers every deterministic observable: fault counts, sink
 // deliveries and link totals.
-func chaosRun(t testing.TB, plan *faults.Plan, shards int, sched sim.Scheduler) (string, int64) {
+func chaosRun(t testing.TB, plan *faults.Plan, shards int) (string, int64) {
 	t.Helper()
-	n := topo.NewShardedScheduler(7, shards, sched)
+	n := topo.NewSharded(7, shards)
 	hosts, _, _ := topo.Dumbbell(n, 4, 100)
 
 	app := n.CP.RegisterApp("faults-test")
@@ -119,42 +119,33 @@ func TestPlanPoolOwnership(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		plan := randomPlan(seed, 80*sim.Millisecond)
 		for _, shards := range []int{1, 2} {
-			if _, leaked := chaosRun(t, plan, shards, sim.SchedulerWheel); leaked != 0 {
+			if _, leaked := chaosRun(t, plan, shards); leaked != 0 {
 				t.Errorf("seed %d shards %d: leaked %d pool packets", seed, shards, leaked)
 			}
 		}
 	}
 }
 
-// TestPlanSchedulerDeterminism pins byte-identical fault behavior across
-// engine schedulers for a handful of seeds (the fuzz target widens this).
-func TestPlanSchedulerDeterminism(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		plan := randomPlan(seed, 60*sim.Millisecond)
-		wheel, _ := chaosRun(t, plan, 1, sim.SchedulerWheel)
-		heap, _ := chaosRun(t, plan, 1, sim.SchedulerHeap)
-		if wheel != heap {
-			t.Errorf("seed %d diverges across schedulers:\n  wheel: %s\n  heap:  %s", seed, wheel, heap)
-		}
-	}
-}
-
 // FuzzFaultPlanDeterminism fuzzes the determinism contract: any plan seed
-// must produce byte-identical fault counts and traffic totals across the
-// heap and wheel schedulers, and leak nothing under either.
+// must produce byte-identical fault counts and traffic totals on a rerun
+// and at two shards, and leak nothing on either.
 func FuzzFaultPlanDeterminism(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(42))
 	f.Add(int64(-7))
 	f.Fuzz(func(t *testing.T, seed int64) {
 		plan := randomPlan(seed, 40*sim.Millisecond)
-		wheel, leakedW := chaosRun(t, plan, 1, sim.SchedulerWheel)
-		heap, leakedH := chaosRun(t, plan, 1, sim.SchedulerHeap)
-		if wheel != heap {
-			t.Errorf("seed %d diverges across schedulers:\n  wheel: %s\n  heap:  %s", seed, wheel, heap)
+		one, leaked1 := chaosRun(t, plan, 1)
+		again, _ := chaosRun(t, plan, 1)
+		two, leaked2 := chaosRun(t, plan, 2)
+		if one != again {
+			t.Errorf("seed %d diverges on a rerun:\n  1: %s\n  2: %s", seed, one, again)
 		}
-		if leakedW != 0 || leakedH != 0 {
-			t.Errorf("seed %d leaked pool packets: wheel %d, heap %d", seed, leakedW, leakedH)
+		if one != two {
+			t.Errorf("seed %d diverges across shard counts:\n  shards=1: %s\n  shards=2: %s", seed, one, two)
+		}
+		if leaked1 != 0 || leaked2 != 0 {
+			t.Errorf("seed %d leaked pool packets: shards=1 %d, shards=2 %d", seed, leaked1, leaked2)
 		}
 	})
 }

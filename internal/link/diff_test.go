@@ -59,7 +59,6 @@ type diffOp struct {
 
 type diffScript struct {
 	cfg      Config
-	sched    sim.Scheduler
 	fault    bool
 	dropPm   int
 	stallPm  int
@@ -67,6 +66,9 @@ type diffScript struct {
 	ops      []diffOp
 }
 
+// diffHeader is the number of leading script bytes that pick the config.
+// The last one is spare; shrinking the header would re-decode every corpus
+// entry into a different script.
 const diffHeader = 7
 
 // decodeScript maps arbitrary bytes onto a script; every input is valid.
@@ -83,7 +85,6 @@ func decodeScript(data []byte) diffScript {
 			QueueBytes: int(pick(hdr[2], 64, 300, 1500, 4000, 0)),
 			UtilWindow: sim.Time(pick(hdr[3], 0, 50, 1000, 100_000)),
 		},
-		sched: sim.Scheduler(hdr[6] % 2),
 	}
 	if hdr[4]%4 != 0 {
 		sc.fault = true
@@ -282,7 +283,7 @@ func (d *diffRun) Handle(arg uint64) {
 
 // runDiff plays the script on a fresh engine against the model mk builds.
 func runDiff(sc *diffScript, mk func(*sim.Engine, Config, Receiver, func(*Packet, DropReason)) linkModel) *diffRun {
-	d := &diffRun{sc: sc, eng: sim.NewWithScheduler(1, sc.sched), pool: NewPool(), rng: rand.New(rand.NewSource(7)), downAt: -1}
+	d := &diffRun{sc: sc, eng: sim.New(1), pool: NewPool(), rng: rand.New(rand.NewSource(7)), downAt: -1}
 	d.m = mk(d.eng, sc.cfg, d, d.onDrop)
 	if sc.fault {
 		d.m.SetTxFault(d)

@@ -232,7 +232,8 @@ type Link struct {
 
 	// boundary, when set, marks this link as crossing between topology
 	// shards: transmission-complete packets park in the boundary mailbox
-	// for the epoch barrier instead of scheduling a local delivery.
+	// for the destination shard to drain instead of scheduling a local
+	// delivery.
 	boundary *Boundary
 
 	// Lazy fixed-window utilization estimators: rolled on access. winBytes
@@ -449,8 +450,8 @@ func (l *Link) Handle(arg uint64) {
 			if l.down {
 				l.drop(p, DropLinkDown)
 			} else {
-				// The receiver lives in another shard: park the packet for the
-				// epoch-barrier drain instead of scheduling delivery here.
+				// The receiver lives in another shard: park the packet for that
+				// shard to drain instead of scheduling delivery here.
 				l.boundary.park(p, l.eng.Now())
 			}
 		} else if l.down {

@@ -115,7 +115,7 @@ func TestLinkUtilization(t *testing.T) {
 	// Offer exactly half rate for 10 ms: one 625-byte packet every 100 us.
 	for i := 0; i < 100; i++ {
 		at := sim.Time(i) * 100 * sim.Microsecond
-		eng.At(at, func() { l.Enqueue(&Packet{Size: 625}) })
+		eng.Schedule(at, sim.HandlerFunc(func() { l.Enqueue(&Packet{Size: 625}) }), 0)
 	}
 	eng.RunUntil(10 * sim.Millisecond)
 	util := l.UtilPermille()

@@ -4,56 +4,14 @@ package sim
 //
 // Each directed shard-crossing link registers one Channel. The source shard
 // parks crossings into the channel's single-producer/single-consumer mailbox
-// as it simulates; the destination shard drains the mailbox incrementally —
-// under the asynchronous engine, whenever its per-channel clocks permit;
-// under the reference epoch engine, at every global barrier. Because every
-// crossing carries a deterministic tie-break key (crossKey below), the drain
-// instant is unobservable: drained events land in the destination scheduler
-// in exactly the order the old single-threaded barrier merge produced.
+// as it simulates; the destination shard drains the mailbox incrementally,
+// whenever its per-channel clocks permit. Because every crossing carries a
+// deterministic tie-break key (crossKey below), the drain instant is
+// unobservable: drained events land in the destination scheduler in exactly
+// the order a single-threaded barrier merge produces (the epoch oracle in
+// oracle_test.go is one).
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
-// SyncMode selects the ShardGroup's conservative synchronization algorithm.
-type SyncMode uint8
-
-const (
-	// SyncChannel is the default asynchronous conservative engine: each
-	// shard independently advances to the minimum over its incoming
-	// boundary channels of (source-shard clock + channel delay), draining
-	// mailboxes incrementally. There are no global barriers inside a run —
-	// the only group-wide sync points are the dispatch and join of the run
-	// itself.
-	SyncChannel SyncMode = iota
-	// SyncEpoch is the global-epoch reference engine: shards advance in
-	// lockstep windows bounded by the group-wide minimum channel delay,
-	// with a full barrier (and mailbox drain) per epoch. Byte-identical to
-	// SyncChannel; kept as the measurable baseline the sync counters are
-	// compared against, the same way the binary heap backs the timing
-	// wheel.
-	SyncEpoch
-)
-
-// String names the sync mode.
-func (m SyncMode) String() string {
-	if m == SyncEpoch {
-		return "epoch"
-	}
-	return "channel"
-}
-
-// ParseSyncMode resolves a -sync flag value ("channel" or "epoch").
-func ParseSyncMode(name string) (SyncMode, error) {
-	switch name {
-	case "channel", "":
-		return SyncChannel, nil
-	case "epoch":
-		return SyncEpoch, nil
-	}
-	return 0, fmt.Errorf("sim: unknown sync mode %q (want channel or epoch)", name)
-}
+import "sync/atomic"
 
 // Crossing tie-break keys. A key occupies the event seq field with the high
 // bit set, so at an equal (firing time, insertion time) every local event —
@@ -258,17 +216,15 @@ func (c *Channel) earliestPending() (Time, bool) {
 
 // SyncStats are the group's synchronization counters.
 //
-// Epochs and Crossings are deterministic for a given (seed, shard count,
-// mode): Epochs counts group-wide synchronization points (one per epoch
-// barrier under SyncEpoch; one per Run/RunUntil dispatch-join under
-// SyncChannel — the asynchronous engine has no barriers inside a run), and
-// Crossings counts shard-crossing deliveries drained. Drains (mailbox
+// Epochs and Crossings are deterministic for a given (seed, shard count):
+// Epochs counts group-wide synchronization points (one per RunUntil
+// dispatch-join — the asynchronous engine has no barriers inside a run),
+// and Crossings counts shard-crossing deliveries drained. Drains (mailbox
 // sweeps that moved at least one crossing) and MaxIdleParks (the largest
 // per-shard count of idle waits, where a shard had nothing to do until an
 // upstream clock advanced) depend on goroutine scheduling when shards run
 // in parallel; with Parallel=false they are deterministic too.
 type SyncStats struct {
-	Mode         SyncMode
 	Epochs       uint64
 	Crossings    uint64
 	Drains       uint64
@@ -277,7 +233,7 @@ type SyncStats struct {
 
 // padCounter is a cache-line-padded per-shard counter; each is written by
 // exactly one goroutine at a time (the shard's worker, or the coordinator
-// at a barrier).
+// between runs).
 type padCounter struct {
 	v uint64
 	_ [56]byte

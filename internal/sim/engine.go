@@ -13,21 +13,19 @@
 // crossings merge in a deterministic order that makes the drain instant
 // unobservable — so a sharded run produces the same results as a
 // single-engine run of the same seed, on as many cores as there are
-// shards. SyncEpoch selects the global-barrier reference engine, pinned
-// byte-identical to the asynchronous one.
+// shards.
 //
-// Pending events live in a pluggable scheduler. The default is a
-// hierarchical timing wheel (wheel.go) with amortized O(1) push/pop; a
-// binary min-heap is retained as the O(log n) reference implementation.
-// Both fire events in identical (firing time, insertion time, sequence)
-// order — the determinism contract every figure in this repository pins —
-// so scheduler choice moves wall-clock time only, never simulated behavior.
+// Pending events live in a hierarchical timing wheel (wheel.go) with
+// amortized O(1) push/pop, firing in (firing time, insertion time, sequence)
+// order — the determinism contract every figure in this repository pins.
+//
+// There is one scheduler and one synchronization algorithm, and neither is
+// selectable. The structures they replaced — a binary min-heap and a
+// global-epoch barrier loop — live on as test oracles in oracle_test.go,
+// which equiv_test.go and shard_fuzz_test.go replay random scripts against.
 package sim
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Time is virtual time in nanoseconds since simulation start.
 type Time int64
@@ -53,6 +51,12 @@ type Handler interface {
 	Handle(arg uint64)
 }
 
+// HandlerFunc adapts a plain func to Handler, dropping the payload.
+type HandlerFunc func()
+
+// Handle calls f.
+func (f HandlerFunc) Handle(uint64) { f() }
+
 // event is a scheduled event record. Ties at the same firing instant are
 // broken by (ins, seq): ins is the virtual time the event was scheduled at
 // and seq the engine-local scheduling order. Among events filed by Schedule
@@ -69,153 +73,26 @@ type Handler interface {
 // so the firing order is independent of *when* a crossing was drained —
 // the property that lets the asynchronous engine drain mailboxes at
 // arbitrary instants and still match the barrier engine byte for byte.
-// Exactly one of h and fn is set: h+arg is the typed zero-allocation form,
-// fn the closure compatibility form used by At/After.
 type event struct {
 	at  Time
 	ins Time
 	seq uint64
 	h   Handler
 	arg uint64
-	fn  func()
 }
-
-// scheduler is the engine's pending-event store. Both implementations obey
-// the same contract: pop returns the minimum pending event by (at, ins, seq)
-// and peek its firing time without removing it. The timing wheel (wheel.go)
-// is the default; the binary heap below is retained as the reference
-// implementation, selectable via NewWithScheduler for equivalence testing
-// and as the worst-case-robust fallback.
-type scheduler interface {
-	push(ev event)
-	pop() event
-	peek() (Time, bool)
-	len() int
-}
-
-// Scheduler selects the engine's pending-event structure.
-type Scheduler uint8
-
-const (
-	// SchedulerWheel is the default: a hierarchical timing wheel with
-	// amortized O(1) scheduling (see wheel.go).
-	SchedulerWheel Scheduler = iota
-	// SchedulerHeap is the reference O(log n) binary min-heap.
-	SchedulerHeap
-)
-
-// String names the scheduler.
-func (s Scheduler) String() string {
-	if s == SchedulerHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// ParseScheduler resolves a -scheduler flag value ("wheel" or "heap").
-func ParseScheduler(name string) (Scheduler, error) {
-	switch name {
-	case "wheel", "":
-		return SchedulerWheel, nil
-	case "heap":
-		return SchedulerHeap, nil
-	}
-	return 0, fmt.Errorf("sim: unknown scheduler %q (want wheel or heap)", name)
-}
-
-// eventHeap is a hand-rolled binary min-heap. container/heap would box every
-// event into an interface on Push — one allocation per scheduled event, paid
-// on every packet transmission — so the sift operations are inlined here.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	return eventLess(&h[i], &h[j])
-}
-
-// push appends the event and restores the heap invariant.
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	q := *h
-	for i := len(q) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the earliest event. The heap must be non-empty.
-func (h *eventHeap) pop() event {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = event{} // release the callback/handler for GC
-	q = q[:n]
-	*h = q
-	for i := 0; ; {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		child := left
-		if right := left + 1; right < n && q.less(right, left) {
-			child = right
-		}
-		if !q.less(child, i) {
-			break
-		}
-		q[i], q[child] = q[child], q[i]
-		i = child
-	}
-	return top
-}
-
-// peek returns the earliest pending firing time.
-func (h *eventHeap) peek() (Time, bool) {
-	if len(*h) == 0 {
-		return 0, false
-	}
-	return (*h)[0].at, true
-}
-
-// len returns the number of pending events.
-func (h *eventHeap) len() int { return len(*h) }
 
 // Engine runs events in virtual-time order.
 type Engine struct {
 	now     Time
-	sched   scheduler
+	sched   *timingWheel
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
 }
 
-// New returns an engine at time zero with a deterministic RNG and the
-// default timing-wheel scheduler.
-func New(seed int64) *Engine { return NewWithScheduler(seed, SchedulerWheel) }
-
-// NewWithScheduler returns an engine using the given pending-event
-// structure. Behavior is identical for either scheduler — the equivalence
-// tests pin it — only the wall-clock cost of scheduling differs.
-func NewWithScheduler(seed int64, s Scheduler) *Engine {
-	e := &Engine{rng: rand.New(rand.NewSource(seed))}
-	if s == SchedulerHeap {
-		e.sched = new(eventHeap)
-	} else {
-		e.sched = newTimingWheel()
-	}
-	return e
-}
-
-// Scheduler reports which pending-event structure the engine runs on.
-func (e *Engine) Scheduler() Scheduler {
-	if _, ok := e.sched.(*eventHeap); ok {
-		return SchedulerHeap
-	}
-	return SchedulerWheel
+// New returns an engine at time zero with a deterministic RNG.
+func New(seed int64) *Engine {
+	return &Engine{rng: rand.New(rand.NewSource(seed)), sched: newTimingWheel()}
 }
 
 // Now returns the current virtual time.
@@ -223,19 +100,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// At schedules fn at absolute virtual time t (clamped to now). The closure
-// API is the convenience layer; per-packet hot paths use Schedule instead.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.sched.push(event{at: t, ins: e.now, seq: e.seq, fn: fn})
-}
-
-// After schedules fn d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
 // Schedule schedules h.Handle(arg) at absolute virtual time t (clamped to
 // now). With a pointer-typed h this allocates nothing, which makes it the
@@ -259,7 +123,7 @@ func (e *Engine) ReserveSeq() uint64 {
 // ScheduleKeyed schedules h.Handle(arg) at t (clamped to now) under an
 // explicit tie-break key (ins, seq) instead of (now, next sequence), for
 // callers that must reproduce the key another scheduling instant would have
-// produced. Both schedulers order back-dated and future-dated keys alike.
+// produced. Back-dated and future-dated keys are ordered alike.
 //
 //   - Handlers that elide an intermediate event. A link knows at start of
 //     serialization when the packet departs, so it books the delivery at
@@ -294,35 +158,6 @@ func (e *Engine) ScheduleAfter(d Time, h Handler, arg uint64) {
 	e.Schedule(e.now+d, h, arg)
 }
 
-// Ticker is a cancellable repeating event. It is its own Handler: each tick
-// re-arms by scheduling the ticker itself, so a running ticker costs no
-// allocations after Every's single setup allocation.
-type Ticker struct {
-	eng      *Engine
-	interval Time
-	fn       func()
-	stopped  bool
-}
-
-// Stop cancels future firings.
-func (t *Ticker) Stop() { t.stopped = true }
-
-// Handle fires one tick and re-arms the ticker.
-func (t *Ticker) Handle(uint64) {
-	if t.stopped || t.eng.stopped {
-		return
-	}
-	t.fn()
-	t.eng.ScheduleAfter(t.interval, t, 0)
-}
-
-// Every schedules fn every interval, first firing at start.
-func (e *Engine) Every(start, interval Time, fn func()) *Ticker {
-	t := &Ticker{eng: e, interval: interval, fn: fn}
-	e.Schedule(start, t, 0)
-	return t
-}
-
 // Stop halts the run loop after the current event.
 func (e *Engine) Stop() { e.stopped = true }
 
@@ -333,11 +168,7 @@ func (e *Engine) Run() int {
 	for e.sched.len() > 0 && !e.stopped {
 		ev := e.sched.pop()
 		e.now = ev.at
-		if ev.h != nil {
-			ev.h.Handle(ev.arg)
-		} else {
-			ev.fn()
-		}
+		ev.h.Handle(ev.arg)
 		n++
 	}
 	return n
@@ -351,10 +182,10 @@ func (e *Engine) RunUntil(deadline Time) int {
 
 // runTo processes events up to deadline — inclusive of events at exactly the
 // deadline when inclusive is true, exclusive otherwise — then advances the
-// clock to the deadline. The exclusive form is the shard-epoch primitive:
-// an epoch ends just before its boundary instant so that deliveries drained
-// from other shards at the barrier can still be ordered among local events
-// of that instant.
+// clock to the deadline. The exclusive form is the shard-quantum primitive:
+// a quantum ends just before its horizon instant so that crossings drained
+// from other shards afterwards can still be ordered among local events of
+// that instant.
 func (e *Engine) runTo(deadline Time, inclusive bool) int {
 	n := 0
 	for !e.stopped {
@@ -364,11 +195,7 @@ func (e *Engine) runTo(deadline Time, inclusive bool) int {
 		}
 		ev := e.sched.pop()
 		e.now = ev.at
-		if ev.h != nil {
-			ev.h.Handle(ev.arg)
-		} else {
-			ev.fn()
-		}
+		ev.h.Handle(ev.arg)
 		n++
 	}
 	if !e.stopped && e.now < deadline {
@@ -378,9 +205,9 @@ func (e *Engine) runTo(deadline Time, inclusive bool) int {
 }
 
 // peekTime returns the firing time of the earliest pending event without
-// removing it — the "earliest pending <= deadline" query ShardGroup epochs
-// are built on. Both schedulers answer it cheaply: the heap from its root,
-// the wheel from its occupancy bitmaps and per-bucket minima (no sorting).
+// removing it — the query ShardGroup.Run finds the next pending instant
+// with. The wheel answers it from its occupancy bitmaps and per-bucket
+// minima (no sorting).
 func (e *Engine) peekTime() (Time, bool) { return e.sched.peek() }
 
 // Pending returns the number of scheduled events.

@@ -9,9 +9,9 @@ import (
 func TestEventOrdering(t *testing.T) {
 	e := New(1)
 	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	e.Schedule(30, HandlerFunc(func() { got = append(got, 3) }), 0)
+	e.Schedule(10, HandlerFunc(func() { got = append(got, 1) }), 0)
+	e.Schedule(20, HandlerFunc(func() { got = append(got, 2) }), 0)
 	e.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("order: %v", got)
@@ -26,7 +26,7 @@ func TestSameTimeFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		e.Schedule(5, HandlerFunc(func() { got = append(got, i) }), 0)
 	}
 	e.Run()
 	if !sort.IntsAreSorted(got) {
@@ -37,10 +37,10 @@ func TestSameTimeFIFO(t *testing.T) {
 func TestAfterAndNestedScheduling(t *testing.T) {
 	e := New(1)
 	var times []Time
-	e.After(10, func() {
+	e.ScheduleAfter(10, HandlerFunc(func() {
 		times = append(times, e.Now())
-		e.After(5, func() { times = append(times, e.Now()) })
-	})
+		e.ScheduleAfter(5, HandlerFunc(func() { times = append(times, e.Now()) }), 0)
+	}), 0)
 	e.Run()
 	if len(times) != 2 || times[0] != 10 || times[1] != 15 {
 		t.Fatalf("times: %v", times)
@@ -50,9 +50,9 @@ func TestAfterAndNestedScheduling(t *testing.T) {
 func TestPastSchedulingClamps(t *testing.T) {
 	e := New(1)
 	fired := Time(-1)
-	e.After(100, func() {
-		e.At(5, func() { fired = e.Now() }) // in the past: clamp to now
-	})
+	e.ScheduleAfter(100, HandlerFunc(func() {
+		e.Schedule(5, HandlerFunc(func() { fired = e.Now() }), 0) // in the past: clamp to now
+	}), 0)
 	e.Run()
 	if fired != 100 {
 		t.Errorf("past event fired at %d", fired)
@@ -63,7 +63,7 @@ func TestRunUntil(t *testing.T) {
 	e := New(1)
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.At(Time(i)*10, func() { count++ })
+		e.Schedule(Time(i)*10, HandlerFunc(func() { count++ }), 0)
 	}
 	n := e.RunUntil(50)
 	if n != 5 || count != 5 {
@@ -81,49 +81,11 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestTicker(t *testing.T) {
-	e := New(1)
-	var ticks []Time
-	tk := e.Every(10, 10, func() {
-		ticks = append(ticks, e.Now())
-		if len(ticks) == 5 {
-			// Stop from within the callback.
-			e.Stop()
-		}
-	})
-	e.Run()
-	if len(ticks) != 5 {
-		t.Fatalf("got %d ticks", len(ticks))
-	}
-	for i, at := range ticks {
-		if at != Time(10*(i+1)) {
-			t.Errorf("tick %d at %d", i, at)
-		}
-	}
-	_ = tk
-}
-
-func TestTickerStop(t *testing.T) {
-	e := New(1)
-	count := 0
-	var tk *Ticker
-	tk = e.Every(1, 1, func() {
-		count++
-		if count == 3 {
-			tk.Stop()
-		}
-	})
-	e.Run()
-	if count != 3 {
-		t.Fatalf("count = %d", count)
-	}
-}
-
 func TestStopHaltsRun(t *testing.T) {
 	e := New(1)
 	count := 0
-	e.At(1, func() { count++; e.Stop() })
-	e.At(2, func() { count++ })
+	e.Schedule(1, HandlerFunc(func() { count++; e.Stop() }), 0)
+	e.Schedule(2, HandlerFunc(func() { count++ }), 0)
 	e.Run()
 	if count != 1 {
 		t.Fatalf("count = %d", count)
@@ -154,7 +116,7 @@ func TestOrderingQuick(t *testing.T) {
 		e := New(1)
 		var fired []Time
 		for _, off := range offsets {
-			e.At(Time(off), func() { fired = append(fired, e.Now()) })
+			e.Schedule(Time(off), HandlerFunc(func() { fired = append(fired, e.Now()) }), 0)
 		}
 		e.Run()
 		for i := 1; i < len(fired); i++ {
@@ -201,15 +163,15 @@ type intAppender struct{ out *[]int }
 
 func (a *intAppender) Handle(arg uint64) { *a.out = append(*a.out, int(arg)) }
 
-// Handler and closure events at the same instant interleave in scheduling
-// order: the compatibility layer must not reorder against typed records.
+// HandlerFunc closures and struct handlers at the same instant interleave in
+// scheduling order.
 func TestHandlerClosureInterleaving(t *testing.T) {
 	e := New(1)
 	var got []int
 	h := &intAppender{out: &got}
-	e.At(5, func() { got = append(got, 0) })
+	e.Schedule(5, HandlerFunc(func() { got = append(got, 0) }), 0)
 	e.Schedule(5, h, 1)
-	e.At(5, func() { got = append(got, 2) })
+	e.Schedule(5, HandlerFunc(func() { got = append(got, 2) }), 0)
 	e.Schedule(5, h, 3)
 	e.Run()
 	if len(got) != 4 || got[0] != 0 || got[1] != 1 || got[2] != 2 || got[3] != 3 {
@@ -217,22 +179,22 @@ func TestHandlerClosureInterleaving(t *testing.T) {
 	}
 }
 
-// Property: handler scheduling respects the same clamp as At.
+// Property: scheduling from inside a handler clamps to now too.
 func TestScheduleClampsPast(t *testing.T) {
 	e := New(1)
 	r := &recorder{eng: e}
-	e.At(100, func() { e.Schedule(5, r, 9) })
+	e.Schedule(100, HandlerFunc(func() { e.Schedule(5, r, 9) }), 0)
 	e.Run()
 	if len(r.at) != 1 || r.at[0] != 100 {
 		t.Fatalf("clamped firing at %v", r.at)
 	}
 }
 
-// Scheduling a pointer Handler into a warmed heap allocates nothing.
+// Scheduling a pointer Handler into a warmed engine allocates nothing.
 func TestScheduleZeroAlloc(t *testing.T) {
 	e := New(1)
 	r := &recorder{eng: e}
-	// Warm the heap's backing array and the recorder's slices.
+	// Warm the wheel's buckets and the recorder's slices.
 	for i := 0; i < 128; i++ {
 		e.Schedule(Time(i), r, uint64(i))
 	}
@@ -249,66 +211,45 @@ func TestScheduleZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineScheduleHandler measures the raw schedule+fire cycle on
-// both pending-event structures — the heap-vs-wheel engine-core comparison.
+// BenchmarkEngineScheduleHandler measures the raw schedule+fire cycle.
 func BenchmarkEngineScheduleHandler(b *testing.B) {
-	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		b.Run(sched.String(), func(b *testing.B) {
-			e := NewWithScheduler(1, sched)
-			r := &recorder{eng: e}
-			r.args = make([]uint64, 0, 2048)
-			r.at = make([]Time, 0, 2048)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e.ScheduleAfter(Time(i%100), r, uint64(i))
-				if e.Pending() > 1024 {
-					r.args = r.args[:0]
-					r.at = r.at[:0]
-					e.RunUntil(e.Now() + 50)
-				}
-			}
-		})
+	e := New(1)
+	r := &recorder{eng: e}
+	r.args = make([]uint64, 0, 2048)
+	r.at = make([]Time, 0, 2048)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.ScheduleAfter(Time(i%100), r, uint64(i))
+		if e.Pending() > 1024 {
+			r.args = r.args[:0]
+			r.at = r.at[:0]
+			e.RunUntil(e.Now() + 50)
+		}
 	}
 }
 
 // BenchmarkEngineHotMix approximates the simulator's scheduling mix — short
 // transmit/delivery delays with a long-tail of pacing timers over a standing
-// event population — on both schedulers.
+// event population.
 func BenchmarkEngineHotMix(b *testing.B) {
-	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		b.Run(sched.String(), func(b *testing.B) {
-			e := NewWithScheduler(1, sched)
-			r := &recorder{eng: e}
-			r.args = make([]uint64, 0, 4096)
-			r.at = make([]Time, 0, 4096)
-			// Standing population: pacing-style timers spread over 1 ms.
-			for i := 0; i < 512; i++ {
-				e.Schedule(Time(i)*1953, r, uint64(i))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.ScheduleAfter(11_200, r, 1) // transmit done at 1 Gb/s
-				e.ScheduleAfter(5_000, r, 2)  // propagation delay
-				e.ScheduleAfter(560_000, r, 3)
-				e.RunUntil(e.Now() + 12_000)
-				if len(r.args) > 2048 {
-					r.args = r.args[:0]
-					r.at = r.at[:0]
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkEngineEvents(b *testing.B) {
 	e := New(1)
+	r := &recorder{eng: e}
+	r.args = make([]uint64, 0, 4096)
+	r.at = make([]Time, 0, 4096)
+	// Standing population: pacing-style timers spread over 1 ms.
+	for i := 0; i < 512; i++ {
+		e.Schedule(Time(i)*1953, r, uint64(i))
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.After(Time(i%100), func() {})
-		if e.Pending() > 1024 {
-			e.RunUntil(e.Now() + 50)
+		e.ScheduleAfter(11_200, r, 1) // transmit done at 1 Gb/s
+		e.ScheduleAfter(5_000, r, 2)  // propagation delay
+		e.ScheduleAfter(560_000, r, 3)
+		e.RunUntil(e.Now() + 12_000)
+		if len(r.args) > 2048 {
+			r.args = r.args[:0]
+			r.at = r.at[:0]
 		}
 	}
-	e.Run()
 }

@@ -1,9 +1,10 @@
 package sim
 
-// Scheduler-equivalence guards: the timing wheel must be observationally
-// identical to the reference binary heap. Random schedules — same-tick
-// collisions, bucket-boundary times, far-future overflow timers, events
-// scheduled from inside handlers, back-dated ScheduleKeyed stamps, the
+// Scheduler-equivalence guards: the engine on its timing wheel must be
+// observationally identical to the binary-heap reference engine
+// (oracle_test.go). Random schedules — same-tick collisions,
+// bucket-boundary times, far-future overflow timers, events scheduled from
+// inside handlers, back-dated ScheduleKeyed stamps, the
 // elided-event pattern (a future-dated ins, and a ReserveSeq number filed
 // at a later now — into the open ready window or already past due), Stop
 // mid-run, and inclusive/exclusive runTo segments — are replayed on both
@@ -22,12 +23,28 @@ type traceRec struct {
 	id uint64
 }
 
+// scriptEngine is what a script needs of an engine; Engine and refEngine
+// both provide it.
+type scriptEngine interface {
+	Now() Time
+	Rand() *rand.Rand
+	Pending() int
+	Stop()
+	ReserveSeq() uint64
+	Schedule(t Time, h Handler, arg uint64)
+	ScheduleAfter(d Time, h Handler, arg uint64)
+	ScheduleKeyed(t, ins Time, seq uint64, h Handler, arg uint64)
+	Run() int
+	RunUntil(deadline Time) int
+	runTo(deadline Time, inclusive bool) int
+}
+
 // chaos drives one engine through a deterministic op script and records the
 // firing trace. Handlers reschedule follow-up events using the engine's own
 // RNG: if the two engines ever fire in different orders, their RNG streams
 // diverge and the traces amplify the difference.
 type chaos struct {
-	eng   *Engine
+	eng   scriptEngine
 	trace []traceRec
 	depth int
 	held  []heldKey
@@ -93,19 +110,18 @@ func (c *chaos) schedule(r *rand.Rand, id uint64) {
 		c.eng.ScheduleAfter(Time(r.Int63n(int64(200*Millisecond))), c, id)
 	case 4: // overflow band (beyond the wheel's ~34 s reach)
 		c.eng.ScheduleAfter(35*Second+Time(r.Int63n(int64(10*Second))), c, id)
-	default: // closure path at a bucket-boundary-ish time
+	default: // a leaf (no follow-ups) at a bucket-boundary-ish time
 		at := (c.eng.Now() + Time(r.Int63n(int64(Millisecond)))) &^ 2047
-		c.eng.At(at, func() {
+		c.eng.Schedule(at, HandlerFunc(func() {
 			c.trace = append(c.trace, traceRec{at: c.eng.Now(), id: id | 1<<63})
-		})
+		}), 0)
 	}
 }
 
 // runScript seeds an engine with rootN events, then alternates exclusive
 // and inclusive run segments with barrier-style back-dated crossings in
 // between, optionally stopping mid-run. It returns the full firing trace.
-func runScript(sched Scheduler, seed int64, rootN int, stopAt int) []traceRec {
-	e := NewWithScheduler(seed, sched)
+func runScript(e scriptEngine, seed int64, rootN int, stopAt int) []traceRec {
 	c := &chaos{eng: e}
 	r := rand.New(rand.NewSource(seed * 1013))
 	for i := 0; i < rootN; i++ {
@@ -156,13 +172,13 @@ func diffTraces(t *testing.T, label string, wheel, heap []traceRec) {
 	}
 }
 
-// TestSchedulerEquivalence replays identical adversarial schedules on both
-// schedulers and requires identical firing sequences.
+// TestSchedulerEquivalence replays identical adversarial schedules on the
+// engine and the heap oracle and requires identical firing sequences.
 func TestSchedulerEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		label := fmt.Sprintf("seed=%d", seed)
-		w := runScript(SchedulerWheel, seed, 40, 0)
-		h := runScript(SchedulerHeap, seed, 40, 0)
+		w := runScript(New(seed), seed, 40, 0)
+		h := runScript(newRefEngine(seed), seed, 40, 0)
 		if len(w) < 40 {
 			t.Fatalf("%s: only %d events fired — script not exercising the scheduler", label, len(w))
 		}
@@ -170,14 +186,14 @@ func TestSchedulerEquivalence(t *testing.T) {
 	}
 }
 
-// TestSchedulerEquivalenceStop covers Stop mid-run: both schedulers must
-// have fired the same prefix when the engine halts.
+// TestSchedulerEquivalenceStop covers Stop mid-run: both engines must have
+// fired the same prefix when they halt.
 func TestSchedulerEquivalenceStop(t *testing.T) {
 	for seed := int64(100); seed < 120; seed++ {
 		label := fmt.Sprintf("seed=%d", seed)
 		diffTraces(t, label,
-			runScript(SchedulerWheel, seed, 30, 50),
-			runScript(SchedulerHeap, seed, 30, 50))
+			runScript(New(seed), seed, 30, 50),
+			runScript(newRefEngine(seed), seed, 30, 50))
 	}
 }
 
@@ -190,8 +206,8 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 	f.Add(int64(99), uint8(3), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, rootN, stopAt uint8) {
 		n := int(rootN)%64 + 1
-		w := runScript(SchedulerWheel, seed, n, int(stopAt))
-		h := runScript(SchedulerHeap, seed, n, int(stopAt))
+		w := runScript(New(seed), seed, n, int(stopAt))
+		h := runScript(newRefEngine(seed), seed, n, int(stopAt))
 		diffTraces(t, fmt.Sprintf("seed=%d n=%d stop=%d", seed, n, stopAt), w, h)
 	})
 }

@@ -7,31 +7,26 @@ package sim
 // lookahead: nothing a shard does at virtual time t can affect another
 // shard before t + the channel's delay.
 //
-// Two synchronization algorithms share this machinery (SyncMode):
+// The synchronization algorithm is asynchronous and CMB-style: each shard
+// independently advances to the minimum over its incoming channels of
+// (source-shard published clock + channel delay), draining that channel's
+// lock-free mailbox incrementally as it goes. Shards never rendezvous
+// inside a run — the only group-wide sync points are the dispatch and join
+// of the run itself — so a shard pair joined only by slow links never
+// throttles the rest.
 //
-//   - SyncChannel (default) is asynchronous and CMB-style: each shard
-//     independently advances to the minimum over its incoming channels of
-//     (source-shard published clock + channel delay), draining that
-//     channel's lock-free mailbox incrementally as it goes. Shards never
-//     rendezvous inside a run — the only group-wide sync points are the
-//     dispatch and join of the run itself — so a shard pair joined only by
-//     slow links never throttles the rest.
-//   - SyncEpoch is the global-epoch reference: shards advance in lockstep
-//     windows bounded by the group-wide minimum channel delay, with a full
-//     barrier and mailbox drain per epoch. It exists as the measurable
-//     baseline for the sync counters (SyncStats), the way the binary heap
-//     backs the timing wheel.
-//
-// Both produce byte-identical simulations, and both match the old
-// single-threaded barrier merge: every crossing carries a deterministic
-// event key — (high bit, source shard, channel, FIFO index) in the seq
-// field, ordered after same-(at, ins) local events — so the instant a
-// mailbox happens to be drained is unobservable (see Engine.ScheduleKeyed
-// and crossKey). Determinism therefore does not depend on goroutine
-// scheduling: for a given seed and shard count, results are reproducible
-// and match the single-engine run except for the measure-zero case of two
-// causally unrelated events in different shards colliding on both firing
-// and insertion instants.
+// The result matches a single-threaded global-epoch barrier merge (lockstep
+// windows bounded by the group-wide minimum channel delay, a full mailbox
+// drain per window) byte for byte; that loop is kept as the test oracle
+// runUntilEpochRef/runEpochAllRef in oracle_test.go. Every crossing carries
+// a deterministic event key — (high bit, source shard, channel, FIFO index)
+// in the seq field, ordered after same-(at, ins) local events — so the
+// instant a mailbox happens to be drained is unobservable (see
+// Engine.ScheduleKeyed and crossKey). Determinism therefore does not depend
+// on goroutine scheduling: for a given seed and shard count, results are
+// reproducible and match the single-engine run except for the measure-zero
+// case of two causally unrelated events in different shards colliding on
+// both firing and insertion instants.
 //
 // Shard workers are persistent: the first parallel run spawns one goroutine
 // per shard, parked on a command channel between runs, so the per-RunUntil
@@ -44,18 +39,14 @@ import (
 	"sync"
 )
 
-// ShardGroup synchronizes N engines conservatively (see the package
-// comment for the two SyncModes).
+// ShardGroup synchronizes N engines conservatively (see the comment at the
+// top of this file).
 type ShardGroup struct {
 	// Parallel controls whether runs execute shards on the persistent
 	// worker goroutines. Determinism holds either way; sequential runs are
 	// useful to debug, and they make even the scheduling-sensitive
 	// diagnostics in SyncStats deterministic.
 	Parallel bool
-
-	// Mode selects the synchronization algorithm. Switching between runs
-	// is allowed; simulated behavior is identical in both modes.
-	Mode SyncMode
 
 	st *groupState
 }
@@ -71,10 +62,8 @@ type groupState struct {
 	in       [][]*Channel // incoming channels per destination shard
 	down     [][]int      // downstream shards per source shard (dedup)
 
-	// lookahead is the group-wide minimum channel delay (the SyncEpoch
-	// window); minIn is the per-shard minimum incoming delay. Both are
-	// maintained by AddChannel — deriving them per run was measurable
-	// overhead in the old epoch engine.
+	// lookahead is the group-wide minimum channel delay; minIn is the
+	// per-shard minimum incoming delay. Both are maintained by AddChannel.
 	lookahead Time
 	minIn     []Time
 
@@ -85,8 +74,9 @@ type groupState struct {
 	clocks []shardClock
 	wake   []chan struct{}
 
-	// Persistent worker plumbing, spawned on the first parallel run.
-	cmds   []chan workerCmd
+	// Persistent worker plumbing, spawned on the first parallel run. A
+	// command is the deadline of one asynchronous run.
+	cmds   []chan Time
 	wg     sync.WaitGroup
 	counts []int
 
@@ -100,19 +90,6 @@ type groupState struct {
 	// seqDone is scratch for the sequential asynchronous loop.
 	seqDone []bool
 }
-
-// workerCmd is one run-quantum request to a persistent shard worker.
-type workerCmd struct {
-	kind      uint8
-	deadline  Time
-	inclusive bool
-}
-
-const (
-	cmdEpoch  uint8 = iota // runTo(deadline, inclusive)
-	cmdRunAll              // Engine.Run (epoch mode with no channels)
-	cmdAsync               // asynchronous per-channel-lookahead loop
-)
 
 // NewShardGroup creates a group over the given engines. Engines are indexed
 // by shard number; boundary channels are registered as the topology is
@@ -190,8 +167,7 @@ func (g *ShardGroup) NumChannels() int { return len(g.st.channels) }
 
 // Lookahead returns the group-wide conservative window: the minimum
 // propagation delay over all boundary channels, or 0 if there are none
-// (shards are then fully independent). Cached at registration — the old
-// engine re-derived it on every run.
+// (shards are then fully independent). Cached at registration.
 func (g *ShardGroup) Lookahead() Time { return g.st.lookahead }
 
 // MinIncomingDelay returns shard's per-channel lookahead floor — the
@@ -208,7 +184,7 @@ func (g *ShardGroup) MinIncomingDelay(shard int) (Time, bool) {
 // (counters are written by shard workers while a run is in flight).
 func (g *ShardGroup) Stats() SyncStats {
 	st := g.st
-	s := SyncStats{Mode: g.Mode, Epochs: st.epochs}
+	s := SyncStats{Epochs: st.epochs}
 	for i := range st.engines {
 		s.Crossings += st.crossings[i].v
 		s.Drains += st.drains[i].v
@@ -309,35 +285,18 @@ func (st *groupState) notify(i int) {
 	}
 }
 
-// syncClocks aligns published clocks with the engines before an
-// asynchronous run (engines may have advanced under the other mode, or
-// via advanceAll, since the last publish).
+// syncClocks aligns published clocks with the engines before a run
+// (engines may have advanced via advanceAll since the last publish).
 func (st *groupState) syncClocks() {
 	for i, e := range st.engines {
 		st.publish(i, e.now)
 	}
 }
 
-// drainAll empties every channel mailbox into the destination engines —
-// the SyncEpoch barrier drain. Runs on the coordinator with all workers
-// parked, so it is the consumer of every mailbox; the crossings' keys make
-// any drain order correct.
-func (st *groupState) drainAll() {
-	for _, c := range st.channels {
-		if c.q.Avail() == 0 {
-			continue
-		}
-		if c.drainInto(st.engines[c.dst]) > 0 {
-			st.drains[c.dst].v++
-		}
-	}
-}
-
-// step runs one conservative quantum for shard i under the asynchronous
-// engine: snapshot the incoming clocks, drain what is visible, then run to
-// the per-channel horizon. It returns events processed, whether the shard
-// completed the run (reached the deadline, or stopped), and whether any
-// progress was made.
+// step runs one conservative quantum for shard i: snapshot the incoming
+// clocks, drain what is visible, then run to the per-channel horizon. It
+// returns events processed, whether the shard completed the run (reached
+// the deadline, or stopped), and whether any progress was made.
 //
 // The snapshot MUST precede the drain: a crossing not yet visible to the
 // drain was emitted at or after its source's snapshot clock, so its
@@ -460,23 +419,16 @@ func (g *ShardGroup) ensureWorkers() {
 	if st.cmds != nil {
 		return
 	}
-	st.cmds = make([]chan workerCmd, len(st.engines))
+	st.cmds = make([]chan Time, len(st.engines))
 	for i := range st.engines {
-		ch := make(chan workerCmd, 1)
+		ch := make(chan Time, 1)
 		st.cmds[i] = ch
-		go func(i int, e *Engine, ch chan workerCmd) {
-			for cmd := range ch {
-				switch cmd.kind {
-				case cmdEpoch:
-					st.counts[i] = e.runTo(cmd.deadline, cmd.inclusive)
-				case cmdRunAll:
-					st.counts[i] = e.Run()
-				case cmdAsync:
-					st.counts[i] = st.asyncWorker(i, cmd.deadline)
-				}
+		go func(i int, ch chan Time) {
+			for deadline := range ch {
+				st.counts[i] = st.asyncWorker(i, deadline)
 				st.wg.Done()
 			}
-		}(i, st.engines[i], ch)
+		}(i, ch)
 	}
 	runtime.SetFinalizer(g, func(fg *ShardGroup) {
 		for _, ch := range fg.st.cmds {
@@ -485,33 +437,22 @@ func (g *ShardGroup) ensureWorkers() {
 	})
 }
 
-// dispatch runs one command on every shard — on the persistent workers
+// dispatch runs every shard to the deadline — on the persistent workers
 // when parallel, inline otherwise — and returns the events processed.
-func (g *ShardGroup) dispatch(cmd workerCmd) int {
+func (g *ShardGroup) dispatch(deadline Time) int {
 	st := g.st
-	if g.Parallel && len(st.engines) > 1 {
-		g.ensureWorkers()
-		st.wg.Add(len(st.cmds))
-		for _, ch := range st.cmds {
-			ch <- cmd
-		}
-		st.wg.Wait()
-		n := 0
-		for _, c := range st.counts {
-			n += c
-		}
-		return n
+	if !g.Parallel || len(st.engines) < 2 {
+		return st.seqAsync(deadline)
 	}
-	if cmd.kind == cmdAsync {
-		return st.seqAsync(cmd.deadline)
+	g.ensureWorkers()
+	st.wg.Add(len(st.cmds))
+	for _, ch := range st.cmds {
+		ch <- deadline
 	}
+	st.wg.Wait()
 	n := 0
-	for _, e := range st.engines {
-		if cmd.kind == cmdRunAll {
-			n += e.Run()
-		} else {
-			n += e.runTo(cmd.deadline, cmd.inclusive)
-		}
+	for _, c := range st.counts {
+		n += c
 	}
 	return n
 }
@@ -519,53 +460,14 @@ func (g *ShardGroup) dispatch(cmd workerCmd) int {
 // RunUntil advances the whole group to the deadline: every event with
 // timestamp <= deadline in every shard is processed, crossings included,
 // and every engine clock ends at the deadline. It returns the number of
-// events processed, which matches what a single merged engine would report.
+// events processed.
 func (g *ShardGroup) RunUntil(deadline Time) int {
-	if g.Mode == SyncEpoch {
-		return g.runUntilEpoch(deadline)
-	}
 	st := g.st
-	// The dispatch-join below is the asynchronous engine's only group-wide
-	// synchronization point: shards coordinate pairwise through published
-	// clocks, never all-stop.
+	// The dispatch-join below is the only group-wide synchronization point:
+	// shards coordinate pairwise through published clocks, never all-stop.
 	st.epochs++
 	st.syncClocks()
-	n := g.dispatch(workerCmd{kind: cmdAsync, deadline: deadline})
-	g.advanceAll(deadline)
-	return n
-}
-
-// runUntilEpoch is RunUntil under the global-epoch reference engine: the
-// classic conservative window loop, one barrier drain per epoch.
-func (g *ShardGroup) runUntilEpoch(deadline Time) int {
-	st := g.st
-	la := st.lookahead
-	n := 0
-	for {
-		st.drainAll()
-		next, ok := g.earliest()
-		if !ok || next > deadline {
-			break
-		}
-		st.epochs++
-		if la == 0 {
-			// No channels: shards are independent; one inclusive epoch.
-			n += g.dispatch(workerCmd{kind: cmdEpoch, deadline: deadline, inclusive: true})
-			continue
-		}
-		// The epoch may extend a full lookahead past the first pending
-		// event: nothing can be emitted before that event fires, so no
-		// crossing can deliver before next+la. An epoch boundary falling
-		// exactly on the deadline still runs exclusive: a crossing can
-		// deliver at that very instant and must be drained before any shard
-		// processes it. Only when no crossing can land at or before the
-		// deadline (next+la > deadline) is the final inclusive epoch safe.
-		if end := next + la; end <= deadline {
-			n += g.dispatch(workerCmd{kind: cmdEpoch, deadline: end})
-		} else {
-			n += g.dispatch(workerCmd{kind: cmdEpoch, deadline: deadline, inclusive: true})
-		}
-	}
+	n := g.dispatch(deadline)
 	g.advanceAll(deadline)
 	return n
 }
@@ -574,13 +476,10 @@ func (g *ShardGroup) runUntilEpoch(deadline Time) int {
 // empty, then aligns every engine clock to the time of the last event. It
 // returns the number of events processed.
 func (g *ShardGroup) Run() int {
-	if g.Mode == SyncEpoch {
-		return g.runEpochAll()
-	}
-	// Asynchronous full drain: rounds of RunUntil to the next pending
-	// instant anywhere (scheduled or still parked in a mailbox). Each round
-	// is one dispatch-join; the tail of a drained simulation is short, so
-	// the rendezvous cost stays negligible.
+	// Rounds of RunUntil to the next pending instant anywhere (scheduled or
+	// still parked in a mailbox). Each round is one dispatch-join; the tail
+	// of a drained simulation is short, so the rendezvous cost stays
+	// negligible.
 	n := 0
 	for {
 		t, ok := g.earliestAnywhere()
@@ -589,30 +488,5 @@ func (g *ShardGroup) Run() int {
 		}
 		n += g.RunUntil(t)
 	}
-	return n
-}
-
-// runEpochAll is Run under the global-epoch reference engine.
-func (g *ShardGroup) runEpochAll() int {
-	st := g.st
-	la := st.lookahead
-	n := 0
-	for {
-		st.drainAll()
-		next, ok := g.earliest()
-		if !ok {
-			break
-		}
-		st.epochs++
-		if la == 0 {
-			n += g.dispatch(workerCmd{kind: cmdRunAll})
-			continue
-		}
-		n += g.dispatch(workerCmd{kind: cmdEpoch, deadline: next + la})
-	}
-	// Align every clock to the group's end time; unlike Engine.Run, the
-	// epoch engine's clocks end epoch-aligned rather than exactly at the
-	// last event's timestamp.
-	g.advanceAll(g.Now())
 	return n
 }

@@ -18,31 +18,30 @@ func (s *crossSink) Handle(arg uint64) {
 }
 
 // TestShardGroupCrossing sends values between two shards over a
-// 10 ns-lookahead channel and checks delivery times and determinism, under
-// both sync modes and both execution modes.
+// 10 ns-lookahead channel and checks delivery times and determinism, on the
+// runtime in both execution modes and on the epoch oracle.
 func TestShardGroupCrossing(t *testing.T) {
-	run := func(parallel bool, mode SyncMode) []string {
+	run := func(parallel bool, mode syncImpl) []string {
 		var log []string
 		e0, e1 := New(1), New(2)
 		g := NewShardGroup([]*Engine{e0, e1})
 		g.Parallel = parallel
-		g.Mode = mode
 		c01 := g.AddChannel(0, 1, 10)
 		g.AddChannel(1, 0, 10)
 		sink1 := &crossSink{eng: e1, log: &log}
 
 		// Shard 0 emits at t=5 and t=7.
-		e0.At(5, func() { c01.Send(e0.Now(), sink1, 100) })
-		e0.At(7, func() { c01.Send(e0.Now(), sink1, 200) })
+		e0.Schedule(5, HandlerFunc(func() { c01.Send(e0.Now(), sink1, 100) }), 0)
+		e0.Schedule(7, HandlerFunc(func() { c01.Send(e0.Now(), sink1, 200) }), 0)
 		// A local shard-1 event at the exact arrival instant of value 100,
 		// inserted earlier in virtual time (ins=0): must fire before it.
-		e1.At(15, func() { log = append(log, fmt.Sprintf("local @%d", e1.Now())) })
-		g.RunUntil(40)
+		e1.Schedule(15, HandlerFunc(func() { log = append(log, fmt.Sprintf("local @%d", e1.Now())) }), 0)
+		mode.runUntil(g, 40)
 		return log
 	}
 
 	want := []string{"local @15", "recv 100 @15", "recv 200 @17"}
-	for _, mode := range []SyncMode{SyncChannel, SyncEpoch} {
+	for _, mode := range syncImpls {
 		seq := run(false, mode)
 		if fmt.Sprint(seq) != fmt.Sprint(want) {
 			t.Fatalf("%v sequential crossing log = %v, want %v", mode, seq, want)
@@ -56,12 +55,11 @@ func TestShardGroupCrossing(t *testing.T) {
 // TestShardGroupMergeOrder drains simultaneous crossings from two source
 // shards and checks the deterministic (at, ins, src, channel, fifo) merge.
 func TestShardGroupMergeOrder(t *testing.T) {
-	for _, mode := range []SyncMode{SyncChannel, SyncEpoch} {
+	for _, mode := range syncImpls {
 		var log []string
 		e0, e1, e2 := New(1), New(2), New(3)
 		g := NewShardGroup([]*Engine{e0, e1, e2})
 		g.Parallel = false
-		g.Mode = mode
 		c02 := g.AddChannel(0, 2, 10)
 		c12 := g.AddChannel(1, 2, 10)
 		sink := &crossSink{eng: e2, log: &log}
@@ -69,10 +67,10 @@ func TestShardGroupMergeOrder(t *testing.T) {
 		// Both shards emit at t=3 (same at, same ins): source shard breaks
 		// the tie, so shard 0's value delivers first; the t=2 emission from
 		// shard 1 delivers first outright (at=12 < 13).
-		e1.At(2, func() { c12.Send(e1.Now(), sink, 902) })
-		e0.At(3, func() { c02.Send(e0.Now(), sink, 3) })
-		e1.At(3, func() { c12.Send(e1.Now(), sink, 903) })
-		g.RunUntil(30)
+		e1.Schedule(2, HandlerFunc(func() { c12.Send(e1.Now(), sink, 902) }), 0)
+		e0.Schedule(3, HandlerFunc(func() { c02.Send(e0.Now(), sink, 3) }), 0)
+		e1.Schedule(3, HandlerFunc(func() { c12.Send(e1.Now(), sink, 903) }), 0)
+		mode.runUntil(g, 30)
 
 		want := []string{"recv 902 @12", "recv 3 @13", "recv 903 @13"}
 		if fmt.Sprint(log) != fmt.Sprint(want) {
@@ -86,23 +84,22 @@ func TestShardGroupMergeOrder(t *testing.T) {
 // ordered by insertion stamp against local events of that instant (the
 // drain has to happen before the instant is processed).
 func TestShardGroupDeadlineOnEpochBoundary(t *testing.T) {
-	for _, mode := range []SyncMode{SyncChannel, SyncEpoch} {
+	for _, mode := range syncImpls {
 		var log []string
 		e0, e1 := New(1), New(2)
 		g := NewShardGroup([]*Engine{e0, e1})
 		g.Parallel = false
-		g.Mode = mode
 		c01 := g.AddChannel(0, 1, 10)
 		sink := &crossSink{eng: e1, log: &log}
 
 		// Crossing emitted at t=5 delivers at t=15 with ins=5; the local
 		// event at t=15 is inserted at t=10 (ins=10), so the crossing fires
 		// first.
-		e0.At(5, func() { c01.Send(e0.Now(), sink, 1) })
-		e1.At(10, func() {
-			e1.At(15, func() { log = append(log, fmt.Sprintf("local @%d", e1.Now())) })
-		})
-		g.RunUntil(15) // deadline == 5 + lookahead: horizon lands on the deadline
+		e0.Schedule(5, HandlerFunc(func() { c01.Send(e0.Now(), sink, 1) }), 0)
+		e1.Schedule(10, HandlerFunc(func() {
+			e1.Schedule(15, HandlerFunc(func() { log = append(log, fmt.Sprintf("local @%d", e1.Now())) }), 0)
+		}), 0)
+		mode.runUntil(g, 15) // deadline == 5 + lookahead: horizon lands on the deadline
 		want := []string{"recv 1 @15", "local @15"}
 		if fmt.Sprint(log) != fmt.Sprint(want) {
 			t.Fatalf("%v deadline-on-boundary order = %v, want %v", mode, log, want)
@@ -116,8 +113,8 @@ func TestShardGroupRunIndependent(t *testing.T) {
 	e0, e1 := New(1), New(2)
 	g := NewShardGroup([]*Engine{e0, e1})
 	fired := 0
-	e0.At(10, func() { fired++ })
-	e1.At(25, func() { fired++ })
+	e0.Schedule(10, HandlerFunc(func() { fired++ }), 0)
+	e1.Schedule(25, HandlerFunc(func() { fired++ }), 0)
 	if n := g.Run(); n != 2 || fired != 2 {
 		t.Fatalf("Run processed %d events (fired %d), want 2", n, fired)
 	}
@@ -130,22 +127,21 @@ func TestShardGroupRunIndependent(t *testing.T) {
 // livelock the group loop — its remaining events are abandoned (as with
 // Engine.Run after Stop) while other shards keep running to the deadline.
 func TestShardGroupStoppedShard(t *testing.T) {
-	for _, mode := range []SyncMode{SyncChannel, SyncEpoch} {
+	for _, mode := range syncImpls {
 		for _, parallel := range []bool{false, true} {
 			e0, e1 := New(1), New(2)
 			g := NewShardGroup([]*Engine{e0, e1})
 			g.Parallel = parallel
-			g.Mode = mode
 			c01 := g.AddChannel(0, 1, 10)
 			var log []string
 			sink := &crossSink{eng: e1, log: &log}
 			_ = c01
 
 			fired := 0
-			e0.At(5, func() { e0.Stop() })
-			e0.At(6, func() { fired++ }) // never runs: the shard stopped
-			e1.At(8, func() { fired++ })
-			g.RunUntil(20) // must return despite shard 0's abandoned event
+			e0.Schedule(5, HandlerFunc(func() { e0.Stop() }), 0)
+			e0.Schedule(6, HandlerFunc(func() { fired++ }), 0) // never runs: the shard stopped
+			e1.Schedule(8, HandlerFunc(func() { fired++ }), 0)
+			mode.runUntil(g, 20) // must return despite shard 0's abandoned event
 			if fired != 1 {
 				t.Fatalf("%v parallel=%v: fired = %d, want only shard 1's event", mode, parallel, fired)
 			}
@@ -160,18 +156,17 @@ func TestShardGroupStoppedShard(t *testing.T) {
 // TestShardGroupStoppedDest: crossings parked toward a stopped shard must
 // not hang the full-drain Run loop — they are simply never delivered.
 func TestShardGroupStoppedDest(t *testing.T) {
-	for _, mode := range []SyncMode{SyncChannel, SyncEpoch} {
+	for _, mode := range syncImpls {
 		var log []string
 		e0, e1 := New(1), New(2)
 		g := NewShardGroup([]*Engine{e0, e1})
 		g.Parallel = false
-		g.Mode = mode
 		c01 := g.AddChannel(0, 1, 10)
 		sink := &crossSink{eng: e1, log: &log}
 
-		e1.At(1, func() { e1.Stop() })
-		e0.At(5, func() { c01.Send(e0.Now(), sink, 42) })
-		g.Run() // must terminate with the crossing undelivered or abandoned
+		e1.Schedule(1, HandlerFunc(func() { e1.Stop() }), 0)
+		e0.Schedule(5, HandlerFunc(func() { c01.Send(e0.Now(), sink, 42) }), 0)
+		mode.run(g) // must terminate with the crossing undelivered or abandoned
 		if fmt.Sprint(log) != "[]" {
 			t.Fatalf("%v: stopped shard delivered crossings: %v", mode, log)
 		}
@@ -208,7 +203,7 @@ func TestShardGroupNoGoroutineGrowth(t *testing.T) {
 	var log []string
 	sink := &crossSink{eng: e1, log: &log}
 	tick := Time(0)
-	e0.Every(5, 5, func() { c01.Send(e0.Now(), sink, uint64(tick)); tick++ })
+	every(e0, 5, 5, func() { c01.Send(e0.Now(), sink, uint64(tick)); tick++ })
 
 	g.RunUntil(10) // warm-up: spawns the two persistent workers
 	base := runtime.NumGoroutine()
@@ -228,32 +223,31 @@ func TestShardGroupNoGoroutineGrowth(t *testing.T) {
 // TestShardGroupResume checks that RunUntil is resumable: crossings parked
 // near a deadline deliver correctly on the next call.
 func TestShardGroupResume(t *testing.T) {
-	for _, mode := range []SyncMode{SyncChannel, SyncEpoch} {
+	for _, mode := range syncImpls {
 		var log []string
 		e0, e1 := New(1), New(2)
 		g := NewShardGroup([]*Engine{e0, e1})
-		g.Mode = mode
 		c01 := g.AddChannel(0, 1, 10)
 		sink := &crossSink{eng: e1, log: &log}
 
-		e0.At(18, func() { c01.Send(e0.Now(), sink, 7) }) // delivers at 28
-		g.RunUntil(20)
+		e0.Schedule(18, HandlerFunc(func() { c01.Send(e0.Now(), sink, 7) }), 0) // delivers at 28
+		mode.runUntil(g, 20)
 		if len(log) != 0 {
 			t.Fatalf("%v: crossing delivered early: %v", mode, log)
 		}
 		if e0.Now() != 20 || e1.Now() != 20 {
 			t.Fatalf("%v: clocks at (%d,%d), want (20,20)", mode, e0.Now(), e1.Now())
 		}
-		g.RunUntil(30)
+		mode.runUntil(g, 30)
 		if want := []string{"recv 7 @28"}; fmt.Sprint(log) != fmt.Sprint(want) {
 			t.Fatalf("%v: after resume log = %v, want %v", mode, log, want)
 		}
 	}
 }
 
-// TestShardGroupLookaheadCached pins the cached lookahead derivations the
-// old engine recomputed per run: group-wide minimum and per-shard incoming
-// minima maintained incrementally by AddChannel.
+// TestShardGroupLookaheadCached pins the cached lookahead derivations:
+// group-wide minimum and per-shard incoming minima maintained incrementally
+// by AddChannel.
 func TestShardGroupLookaheadCached(t *testing.T) {
 	g := NewShardGroup([]*Engine{New(1), New(2), New(3)})
 	if g.Lookahead() != 0 {
@@ -280,49 +274,48 @@ func TestShardGroupLookaheadCached(t *testing.T) {
 	}
 }
 
-// TestShardGroupSyncStats checks the deterministic counters: channel mode
-// must sync far less often than epoch mode on the same workload.
+// TestShardGroupSyncStats checks the deterministic counters: the runtime
+// must sync far less often than the epoch oracle on the same workload.
 func TestShardGroupSyncStats(t *testing.T) {
-	build := func(mode SyncMode) (*ShardGroup, *[]string) {
+	build := func() (*ShardGroup, *[]string) {
 		var log []string
 		e0, e1 := New(1), New(2)
 		g := NewShardGroup([]*Engine{e0, e1})
 		g.Parallel = false
-		g.Mode = mode
 		c01 := g.AddChannel(0, 1, 10)
 		g.AddChannel(1, 0, 10)
 		sink := &crossSink{eng: e1, log: &log}
 		tick := uint64(0)
-		e0.Every(3, 3, func() { c01.Send(e0.Now(), sink, tick); tick++ })
+		every(e0, 3, 3, func() { c01.Send(e0.Now(), sink, tick); tick++ })
 		return g, &log
 	}
 
-	gc, logc := build(SyncChannel)
-	ge, loge := build(SyncEpoch)
+	gc, logc := build()
+	ge, loge := build()
 	gc.RunUntil(3000)
-	ge.RunUntil(3000)
+	runUntilEpochRef(ge, 3000)
 	if fmt.Sprint(*logc) != fmt.Sprint(*loge) {
-		t.Fatalf("modes disagree:\nchannel %v\nepoch   %v", *logc, *loge)
+		t.Fatalf("runtime and oracle disagree:\nruntime %v\noracle  %v", *logc, *loge)
 	}
 	sc, se := gc.Stats(), ge.Stats()
 	if sc.Crossings != se.Crossings || sc.Crossings == 0 {
-		t.Fatalf("crossings: channel %d, epoch %d", sc.Crossings, se.Crossings)
+		t.Fatalf("crossings: runtime %d, oracle %d", sc.Crossings, se.Crossings)
 	}
 	if sc.Epochs != 1 {
-		t.Fatalf("channel mode epochs = %d, want 1 (one dispatch-join)", sc.Epochs)
+		t.Fatalf("runtime sync points = %d, want 1 (one dispatch-join)", sc.Epochs)
 	}
 	if se.Epochs < 5*sc.Epochs {
-		t.Fatalf("epoch mode synced only %d times vs channel's %d — counters broken", se.Epochs, sc.Epochs)
+		t.Fatalf("oracle synced only %d times vs the runtime's %d — counters broken", se.Epochs, sc.Epochs)
 	}
 }
 
-// TestRunToExclusive pins the epoch primitive: events at exactly the
+// TestRunToExclusive pins the quantum primitive: events at exactly the
 // deadline stay pending, and the clock still advances to the deadline.
 func TestRunToExclusive(t *testing.T) {
 	e := New(1)
 	fired := []Time{}
-	e.At(5, func() { fired = append(fired, 5) })
-	e.At(10, func() { fired = append(fired, 10) })
+	e.Schedule(5, HandlerFunc(func() { fired = append(fired, 5) }), 0)
+	e.Schedule(10, HandlerFunc(func() { fired = append(fired, 10) }), 0)
 	if n := e.runTo(10, false); n != 1 {
 		t.Fatalf("exclusive runTo processed %d events, want 1", n)
 	}
@@ -343,12 +336,12 @@ func TestRunToExclusive(t *testing.T) {
 func TestCrossingInsertionOrder(t *testing.T) {
 	e := New(1)
 	var order []string
-	e.At(4, func() { // inserted at virtual time 4
-		e.At(20, func() { order = append(order, "ins4") })
-	})
+	e.Schedule(4, HandlerFunc(func() { // inserted at virtual time 4
+		e.Schedule(20, HandlerFunc(func() { order = append(order, "ins4") }), 0)
+	}), 0)
 	e.RunUntil(10)
 	// Simulates a drain: the crossing was emitted at time 2.
-	e.ScheduleKeyed(20, 2, crossKey(0, 0, 0), handlerFunc(func() { order = append(order, "crossing-ins2") }), 0)
+	e.ScheduleKeyed(20, 2, crossKey(0, 0, 0), HandlerFunc(func() { order = append(order, "crossing-ins2") }), 0)
 	e.Run()
 	if fmt.Sprint(order) != "[crossing-ins2 ins4]" {
 		t.Fatalf("order = %v, want crossing first (earlier insertion stamp)", order)
@@ -360,7 +353,7 @@ func TestCrossingInsertionOrder(t *testing.T) {
 func TestCrossingKeyOrder(t *testing.T) {
 	e := New(1)
 	var order []uint64
-	rec := func(id uint64) Handler { return handlerFunc(func() { order = append(order, id) }) }
+	rec := func(id uint64) Handler { return HandlerFunc(func() { order = append(order, id) }) }
 	// All fire at t=20 with ins=0. Locals get seq 1,2; crossings get keys.
 	e.Schedule(20, rec(1), 0)
 	e.ScheduleKeyed(20, 0, crossKey(1, 3, 0), rec(130), 0)
@@ -402,7 +395,18 @@ func TestSPSC(t *testing.T) {
 	}
 }
 
-// handlerFunc adapts a closure to sim.Handler for tests.
-type handlerFunc func()
+// ticker runs fn at start and then every interval, forever.
+type ticker struct {
+	eng      *Engine
+	interval Time
+	fn       func()
+}
 
-func (f handlerFunc) Handle(uint64) { f() }
+func (t *ticker) Handle(uint64) {
+	t.fn()
+	t.eng.ScheduleAfter(t.interval, t, 0)
+}
+
+func every(e *Engine, start, interval Time, fn func()) {
+	e.Schedule(start, &ticker{eng: e, interval: interval, fn: fn}, 0)
+}

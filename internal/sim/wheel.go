@@ -1,16 +1,15 @@
 package sim
 
-// Hierarchical timing wheel: the engine's default event scheduler. Where the
-// reference binary heap pays O(log n) sift work on every push and pop — two
-// heap operations per simulated packet-hop, the top profile entry at fat-tree
-// scale — the wheel pays amortized O(1): a push indexes straight into a
-// power-of-two bucket, and a pop serves from a small sorted "ready" run
-// refilled one bucket at a time.
+// Hierarchical timing wheel: the engine's event scheduler. Where a binary
+// heap pays O(log n) sift work on every push and pop — the top profile entry
+// at fat-tree scale when the engine ran on one — the wheel pays amortized
+// O(1): a push indexes straight into a power-of-two bucket, and a pop serves
+// from a small sorted "ready" run refilled one bucket at a time.
 //
 // Layout. Four levels of 64 buckets each over virtual nanoseconds, with
 // level-0 buckets 2.048 µs wide (so the levels span ~131 µs, ~8.4 ms,
 // ~537 ms and ~34 s beyond the wheel's base time), plus an overflow band
-// for anything farther out (idle Tickers, TCP RTO backstops, long
+// for anything farther out (idle timers, TCP RTO backstops, long
 // experiment deadlines). An event lands in the lowest level whose bucket
 // distance from the base fits, and cascades down as the base advances — at
 // most once per level, which is the amortized-O(1) argument. The level-0
@@ -19,22 +18,23 @@ package sim
 // enough that consecutive events batch into one sort-and-serve refill,
 // narrow enough that a bucket's lazy sort stays a short insertion sort.
 //
-// Determinism contract. The wheel is observationally identical to the heap:
-// pop always returns the minimum pending event by the engine's full ordering
-// key (at, ins, seq). Buckets are unordered until consumed; when the base
+// Determinism contract. pop always returns the minimum pending event by the
+// engine's full ordering key (at, ins, seq) — what a priority queue over
+// that key would return. Buckets are unordered until consumed; when the base
 // reaches the earliest bucket, its events are sorted lazily by the full key
 // into the ready run. Events scheduled into the currently open ready window
-// — including back-dated ScheduleKeyed insertions at epoch barriers,
-// whose ins stamps must land in the same tie-break position a lone engine
-// would have given them — are merge-inserted into the remaining run by the
-// same key. TestSchedulerEquivalence and FuzzSchedulerEquivalence pin the
-// heap/wheel firing-order equivalence over adversarial schedules.
+// — including back-dated ScheduleKeyed insertions drained from shard
+// mailboxes, whose ins stamps must land in the same tie-break position a
+// lone engine would have given them — are merge-inserted into the remaining
+// run by the same key. TestSchedulerEquivalence and FuzzSchedulerEquivalence
+// pin the firing order against the binary-heap oracle (oracle_test.go) over
+// adversarial schedules.
 //
 // peek answers "earliest pending event time" in O(levels) without sorting
 // anything beyond the one bucket being consumed: each level keeps a 64-bit
-// occupancy bitmap and per-bucket minimum, so ShardGroup.runTo's exclusive
-// epoch deadlines (which query the earliest pending event before every pop)
-// stay cheap.
+// occupancy bitmap and per-bucket minimum, so Engine.runTo's exclusive
+// horizons (which query the earliest pending event before every pop) stay
+// cheap.
 
 import (
 	"math/bits"
@@ -66,8 +66,8 @@ func (b *wheelBucket) add(ev event) {
 	b.evs = append(b.evs, ev)
 }
 
-// timingWheel implements scheduler. Zero value is not ready; use
-// newTimingWheel.
+// timingWheel is the engine's pending-event store. Zero value is not ready;
+// use newTimingWheel.
 type timingWheel struct {
 	base  Time // all pending events fire at or after base
 	count int  // total pending events, all levels + overflow + ready
@@ -146,7 +146,7 @@ func (w *timingWheel) place(ev event) {
 // insertReady merge-inserts ev into the live part of the ready run, keeping
 // (at, ins, seq) order. Events already consumed (before readyPos) stay put:
 // a back-dated key sorting before them would simply fire next, exactly as a
-// heap would serve it.
+// priority queue would serve it.
 func (w *timingWheel) insertReady(ev event) {
 	lo, hi := w.readyPos, len(w.ready)
 	for lo < hi {
@@ -215,7 +215,7 @@ func (w *timingWheel) pop() event {
 		w.fill()
 	}
 	ev := w.ready[w.readyPos]
-	w.ready[w.readyPos] = event{} // release handler/closure for GC
+	w.ready[w.readyPos] = event{} // release the handler for GC
 	w.readyPos++
 	w.count--
 	return ev

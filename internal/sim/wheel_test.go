@@ -2,7 +2,16 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 )
+
+// The event record is five words; the wheel's bucket seed capacities are
+// counted in events, so a sixth word grows every engine by a sixth.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 48 {
+		t.Fatalf("event is %d bytes, want 48", got)
+	}
+}
 
 // popAll drains the wheel, asserting the count bookkeeping, and returns the
 // events in pop order.
@@ -100,9 +109,6 @@ func TestWheelOverflowCascade(t *testing.T) {
 // forward-path guards hold end to end.
 func TestWheelZeroAllocSteadyState(t *testing.T) {
 	e := New(1)
-	if e.Scheduler() != SchedulerWheel {
-		t.Fatal("default scheduler is not the wheel")
-	}
 	r := &recorder{eng: e}
 	for i := 0; i < 512; i++ {
 		e.Schedule(Time(i)*300, r, uint64(i))

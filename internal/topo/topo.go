@@ -25,9 +25,8 @@ const SwitchNodeBase = 1000
 // Network is a wired simulation: engines (one per topology shard), control
 // plane, nodes and links. With one shard (the default) it behaves exactly
 // like the original single-engine simulator; with more, nodes are assigned
-// to shards (see PlanPartition) and the shards advance in conservative
-// lookahead epochs synchronized by a sim.ShardGroup, exchanging boundary
-// packets at epoch barriers.
+// to shards (see PlanPartition) and the shards advance conservatively under
+// a sim.ShardGroup, exchanging boundary packets over its channels.
 type Network struct {
 	Eng      *sim.Engine // shard 0's engine (setup-time scheduling, 1-shard runs)
 	CP       *host.ControlPlane
@@ -72,18 +71,10 @@ func New(seed int64) *Network { return NewSharded(seed, 1) }
 
 // NewSharded creates an empty network whose nodes will be spread over
 // shards topology shards, each with its own engine, RNG stream and packet
-// pool, on the default timing-wheel scheduler.
+// pool. Shard 0's engine is seeded with seed itself, so a one-shard network
+// is byte-identical to the historical single-engine simulator; further
+// shards get distinct deterministic streams derived from seed.
 func NewSharded(seed int64, shards int) *Network {
-	return NewShardedScheduler(seed, shards, sim.SchedulerWheel)
-}
-
-// NewShardedScheduler is NewSharded with an explicit engine scheduler.
-// Shard 0's engine is seeded with seed itself, so a one-shard network is
-// byte-identical to the historical single-engine simulator; further shards
-// get distinct deterministic streams derived from seed. Scheduler choice
-// never changes simulated behavior (see sim's determinism contract), only
-// the wall-clock cost of event scheduling.
-func NewShardedScheduler(seed int64, shards int, sched sim.Scheduler) *Network {
 	if shards < 1 {
 		shards = 1
 	}
@@ -96,7 +87,7 @@ func NewShardedScheduler(seed int64, shards int, sched sim.Scheduler) *Network {
 			// seeds unique for any base seed.
 			s = seed + int64(i)*0x4E3779B97F4A7C15
 		}
-		engines[i] = sim.NewWithScheduler(s, sched)
+		engines[i] = sim.New(s)
 		pools[i] = link.NewPool()
 	}
 	n := &Network{

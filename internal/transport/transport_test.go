@@ -136,7 +136,7 @@ func TestTCPFairSharing(t *testing.T) {
 	fa := transport.NewTCPFlow(n.Hosts[0], hosts[2], 5000, 8000, 1440)
 	fb := transport.NewTCPFlow(n.Hosts[1], hosts[3], 5001, 8001, 1440)
 	fa.Start()
-	n.Eng.At(50*sim.Millisecond, fb.Start) // staggered, as in real workloads
+	n.Eng.Schedule(50*sim.Millisecond, sim.HandlerFunc(fb.Start), 0) // staggered, as in real workloads
 	n.Eng.RunUntil(8 * sim.Second)
 
 	a := float64(sinkA.Bytes)

@@ -32,21 +32,17 @@ func BenchmarkScaleFatTree(b *testing.B) {
 		k      int
 		flows  int
 		shards int
-		sched  testbed.Scheduler
 		export bool
 	}{
-		{"k4/shards=1", 4, 128, 1, testbed.SchedulerWheel, false},
-		{"k4/shards=1/sched=heap", 4, 128, 1, testbed.SchedulerHeap, false},
-		{"k4/shards=1/export=ndjson", 4, 128, 1, testbed.SchedulerWheel, true},
-		{"k8/shards=1", 8, 256, 1, testbed.SchedulerWheel, false},
-		{"k8/shards=1/sched=heap", 8, 256, 1, testbed.SchedulerHeap, false},
-		{"k8/shards=2", 8, 256, 2, testbed.SchedulerWheel, false},
-		{"k8/shards=4", 8, 256, 4, testbed.SchedulerWheel, false},
-		{"k8/shards=8", 8, 256, 8, testbed.SchedulerWheel, false},
-		{"k16/shards=1", 16, 512, 1, testbed.SchedulerWheel, false},
-		{"k16/shards=1/sched=heap", 16, 512, 1, testbed.SchedulerHeap, false},
-		{"k16/shards=2", 16, 512, 2, testbed.SchedulerWheel, false},
-		{"k16/shards=4", 16, 512, 4, testbed.SchedulerWheel, false},
+		{"k4/shards=1", 4, 128, 1, false},
+		{"k4/shards=1/export=ndjson", 4, 128, 1, true},
+		{"k8/shards=1", 8, 256, 1, false},
+		{"k8/shards=2", 8, 256, 2, false},
+		{"k8/shards=4", 8, 256, 4, false},
+		{"k8/shards=8", 8, 256, 8, false},
+		{"k16/shards=1", 16, 512, 1, false},
+		{"k16/shards=2", 16, 512, 2, false},
+		{"k16/shards=4", 16, 512, 4, false},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -67,14 +63,13 @@ func BenchmarkScaleFatTree(b *testing.B) {
 			}
 			for i := 0; i < b.N; i++ {
 				res, err := testbed.RunScaleFatTree(testbed.ScaleConfig{
-					K:         c.k,
-					Flows:     c.flows,
-					Duration:  100 * testbed.Millisecond,
-					WithTPP:   true,
-					Seed:      1,
-					Shards:    c.shards,
-					Scheduler: c.sched,
-					Export:    pipe,
+					K:        c.k,
+					Flows:    c.flows,
+					Duration: 100 * testbed.Millisecond,
+					WithTPP:  true,
+					Seed:     1,
+					Shards:   c.shards,
+					Export:   pipe,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -97,32 +92,19 @@ func BenchmarkScaleFatTree(b *testing.B) {
 
 // BenchmarkEndToEndHop measures one steady-state forward cycle — host send
 // with TPP attachment → switch hop with TCPU execution → terminal delivery
-// and packet recycle — on both engine schedulers. allocs/op is the
-// headline: 0 in steady state; the wheel/heap delta is the engine-core
-// scheduling tax.
+// and packet recycle. allocs/op is the headline: 0 in steady state.
 func BenchmarkEndToEndHop(b *testing.B) {
-	for _, sched := range []testbed.Scheduler{testbed.SchedulerWheel, testbed.SchedulerHeap} {
-		b.Run("sched="+sched.String(), func(b *testing.B) {
-			e, err := testbed.NewE2EHarnessWith(true, testbed.SimOpts{Scheduler: sched})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 200; i++ {
-				e.Step()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Step()
-			}
-		})
-	}
+	benchmarkHop(b, true)
 }
 
 // BenchmarkEndToEndHopNoTPP is the same cycle without TPP attachment — the
 // baseline that isolates instrumentation cost.
 func BenchmarkEndToEndHopNoTPP(b *testing.B) {
-	e, err := testbed.NewE2EHarness(false)
+	benchmarkHop(b, false)
+}
+
+func benchmarkHop(b *testing.B, withTPP bool) {
+	e, err := testbed.NewE2EHarness(withTPP)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -219,8 +219,8 @@ func TestFlushEvery(t *testing.T) {
 	p.Attach(&m)
 	stop := p.FlushEvery(eng, sim.Millisecond)
 
-	eng.At(sim.Time(500*sim.Microsecond), func() { p.Publish(rec(1, 1)) })
-	eng.At(sim.Time(1500*sim.Microsecond), func() { p.Publish(rec(2, 2)) })
+	eng.Schedule(sim.Time(500*sim.Microsecond), sim.HandlerFunc(func() { p.Publish(rec(1, 1)) }), 0)
+	eng.Schedule(sim.Time(1500*sim.Microsecond), sim.HandlerFunc(func() { p.Publish(rec(2, 2)) }), 0)
 	eng.RunUntil(sim.Time(2500 * sim.Microsecond))
 	if len(m.Records) != 2 {
 		t.Fatalf("periodic flush delivered %d records, want 2", len(m.Records))

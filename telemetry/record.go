@@ -26,9 +26,8 @@
 // at Close.
 //
 // Subpackage telemetry/trace defines the versioned binary format for
-// recorded TPP-annotated packet traces and the capture hooks that write it;
-// package internal/trafficgen replays such traces as a deterministic
-// traffic source.
+// recorded TPP-annotated packet traces, the capture hooks that write it and
+// the replay that re-injects such traces as a deterministic traffic source.
 package telemetry
 
 // Record is the pipeline's fixed-size unit of export: one telemetry event,

@@ -1,12 +1,12 @@
 // Package trace defines the versioned binary format for recorded TPP
-// packet traces, and the capture hook that writes one from a live
-// simulation.
+// packet traces, the capture hook that writes one from a live simulation,
+// and the replay that re-injects one into a rebuilt network.
 //
 // A trace is a stream of transmit events: every packet a host's shim
 // handed to its NIC, with the full TPP section bytes as they left the
 // host. Captured traces are decoded by cmd/tppdump and replayed as a
-// deterministic traffic source by internal/trafficgen — the same network
-// fed the same trace reproduces the original run packet for packet.
+// deterministic traffic source by Replay — the same network fed the same
+// trace reproduces the original run packet for packet.
 //
 // # Wire format
 //

@@ -1,4 +1,4 @@
-package trafficgen
+package trace
 
 import (
 	"errors"
@@ -12,7 +12,6 @@ import (
 	"minions/internal/host"
 	"minions/internal/link"
 	"minions/internal/sim"
-	"minions/telemetry/trace"
 )
 
 // ErrTopologyMismatch reports a trace that cannot be replayed into the given
@@ -77,7 +76,7 @@ func (s *ReplayStats) TotalStandaloneBytes() uint64 {
 type replaySender struct {
 	hs    []*host.Host
 	eng   *sim.Engine
-	recs  []trace.Rec
+	recs  []Rec
 	stats *ReplayStats
 }
 
@@ -89,7 +88,7 @@ func (r *replaySender) Handle(idx uint64) {
 	}
 }
 
-func (r *replaySender) inject(rec *trace.Rec, h *host.Host) {
+func (r *replaySender) inject(rec *Rec, h *host.Host) {
 	p := h.NewPacket(link.NodeID(rec.Dst), rec.SrcPort, rec.DstPort, rec.Proto, int(rec.Size)-len(rec.TPP))
 	p.PathTag = rec.PathTag
 	p.TTL = rec.TTL
@@ -129,14 +128,14 @@ func (r *replaySender) inject(rec *trace.Rec, h *host.Host) {
 // filters, apps or transports: the network — switches, links, TPP execution
 // along each path, standalone echoes at destinations — does the rest, which
 // is what makes a replayed run reproduce the original packet for packet.
-func Replay(hosts []*host.Host, recs []trace.Rec) (*ReplayStats, error) {
+func Replay(hosts []*host.Host, recs []Rec) (*ReplayStats, error) {
 	return ReplayTo(hosts, nil, recs)
 }
 
 // ReplayTo is Replay with extra valid destinations: node IDs (typically the
 // topology's switches) that records may target even though no replay host
 // answers to them.
-func ReplayTo(hosts []*host.Host, extraDests []link.NodeID, recs []trace.Rec) (*ReplayStats, error) {
+func ReplayTo(hosts []*host.Host, extraDests []link.NodeID, recs []Rec) (*ReplayStats, error) {
 	byID := make(map[link.NodeID]*host.Host, len(hosts))
 	sharded := false
 	for _, h := range hosts {
@@ -151,10 +150,10 @@ func ReplayTo(hosts []*host.Host, extraDests []link.NodeID, recs []trace.Rec) (*
 	}
 	for _, rec := range recs {
 		if byID[link.NodeID(rec.Src)] == nil {
-			return nil, fmt.Errorf("trafficgen: record from node %d, which is not a replay host: %w", rec.Src, ErrTopologyMismatch)
+			return nil, fmt.Errorf("trace: record from node %d, which is not a replay host: %w", rec.Src, ErrTopologyMismatch)
 		}
 		if dst := link.NodeID(rec.Dst); byID[dst] == nil && !destOK[dst] {
-			return nil, fmt.Errorf("trafficgen: record to node %d, which is neither a replay host nor a listed destination: %w", rec.Dst, ErrTopologyMismatch)
+			return nil, fmt.Errorf("trace: record to node %d, which is neither a replay host nor a listed destination: %w", rec.Dst, ErrTopologyMismatch)
 		}
 	}
 	stats := &ReplayStats{probeBytesByA: make(map[uint16]uint64)}
@@ -168,7 +167,7 @@ func ReplayTo(hosts []*host.Host, extraDests []link.NodeID, recs []trace.Rec) (*
 		// senders would re-resolve those ties by scheduling order, and at a
 		// drop-tail queue during phase-locked ramp-up that decides which
 		// flow's packet is the one dropped.
-		rs := append([]trace.Rec(nil), recs...)
+		rs := append([]Rec(nil), recs...)
 		sort.SliceStable(rs, func(i, j int) bool { return rs[i].At < rs[j].At })
 		hs := make([]*host.Host, len(rs))
 		for i := range rs {
@@ -178,7 +177,7 @@ func ReplayTo(hosts []*host.Host, extraDests []link.NodeID, recs []trace.Rec) (*
 		s.eng.Schedule(sim.Time(rs[0].At), s, 0)
 		return stats, nil
 	}
-	perSrc := make(map[link.NodeID][]trace.Rec)
+	perSrc := make(map[link.NodeID][]Rec)
 	for _, rec := range recs {
 		id := link.NodeID(rec.Src)
 		perSrc[id] = append(perSrc[id], rec)
@@ -204,7 +203,7 @@ func ReplayFrom(hosts []*host.Host, r io.Reader) (*ReplayStats, error) {
 
 // ReplayFromTo decodes a whole trace stream and schedules it via ReplayTo.
 func ReplayFromTo(hosts []*host.Host, extraDests []link.NodeID, r io.Reader) (*ReplayStats, error) {
-	recs, err := trace.ReadAll(r)
+	recs, err := ReadAll(r)
 	if err != nil {
 		return nil, err
 	}

@@ -1,4 +1,4 @@
-package trafficgen_test
+package trace_test
 
 import (
 	"bytes"
@@ -11,7 +11,6 @@ import (
 	"minions/internal/link"
 	"minions/internal/sim"
 	"minions/internal/topo"
-	"minions/internal/trafficgen"
 	"minions/internal/transport"
 	"minions/telemetry/trace"
 )
@@ -64,7 +63,7 @@ func TestReplayReproducesRun(t *testing.T) {
 	}
 
 	n2, hosts2, sinks2 := buildDumbbell(11)
-	stats, err := trafficgen.ReplayFrom(hosts2, bytes.NewReader(buf.Bytes()))
+	stats, err := trace.ReplayFrom(hosts2, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +114,11 @@ func TestReplayWrongTopology(t *testing.T) {
 
 	n2 := topo.New(5)
 	smaller, _, _ := topo.Dumbbell(n2, 2, 100)
-	_, err = trafficgen.ReplayFrom(smaller, bytes.NewReader(buf.Bytes()))
+	_, err = trace.ReplayFrom(smaller, bytes.NewReader(buf.Bytes()))
 	if err == nil {
 		t.Fatal("replay accepted a trace from a different topology")
 	}
-	if !errors.Is(err, trafficgen.ErrTopologyMismatch) {
+	if !errors.Is(err, trace.ErrTopologyMismatch) {
 		t.Fatalf("error %v does not wrap ErrTopologyMismatch", err)
 	}
 }
@@ -158,10 +157,10 @@ func TestReplayMissingDestination(t *testing.T) {
 	}
 
 	n2, hosts2, _ := buildDumbbell(7)
-	if _, err := trafficgen.Replay(hosts2, recs); !errors.Is(err, trafficgen.ErrTopologyMismatch) {
+	if _, err := trace.Replay(hosts2, recs); !errors.Is(err, trace.ErrTopologyMismatch) {
 		t.Fatalf("Replay with a switch-targeted record: err %v, want ErrTopologyMismatch", err)
 	}
-	if _, err := trafficgen.ReplayTo(hosts2, []link.NodeID{n2.Switches[0].NodeID()}, recs); err != nil {
+	if _, err := trace.ReplayTo(hosts2, []link.NodeID{n2.Switches[0].NodeID()}, recs); err != nil {
 		t.Fatalf("ReplayTo with the switch listed: %v", err)
 	}
 }

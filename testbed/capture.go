@@ -22,7 +22,6 @@ import (
 	"minions/apps/conga"
 	"minions/apps/rcp"
 	"minions/internal/link"
-	"minions/internal/trafficgen"
 	"minions/internal/transport"
 	"minions/telemetry/trace"
 )
@@ -34,7 +33,8 @@ var ErrShardedCapture = errors.New("testbed: trace capture and replay require a 
 
 // switchDests lists the topology's switch NodeIDs so replays accept
 // switch-targeted records (debugging probes address switches directly);
-// trafficgen rejects any other unknown destination as a topology mismatch.
+// trace.ReplayTo rejects any other unknown destination as a topology
+// mismatch.
 func switchDests(n *Network) []link.NodeID {
 	ids := make([]link.NodeID, len(n.Switches))
 	for i, sw := range n.Switches {
@@ -78,7 +78,7 @@ func runFig2Panel(duration Time, o SimOpts, alpha float64, capW io.Writer, repR 
 	if (capW != nil || repR != nil) && o.Shards > 1 {
 		return nil, zero, ErrShardedCapture
 	}
-	n := NewNet(SimOpts{Seed: o.Seed + 5, Shards: o.Shards, Scheduler: o.Scheduler})
+	n := NewNet(SimOpts{Seed: o.Seed + 5, Shards: o.Shards})
 	hosts, _ := n.Chain(100)
 	var sinks [3]*transport.Sink
 	pairs := [3][2]int{{0, 3}, {1, 4}, {2, 5}}
@@ -111,7 +111,7 @@ func runFig2Panel(duration Time, o SimOpts, alpha float64, capW io.Writer, repR 
 		for i, p := range pairs {
 			sinks[i] = transport.NewSink(n.Hosts[p[1]], uint16(7001+i), link.ProtoUDP)
 		}
-		if _, err := trafficgen.ReplayFromTo(n.Hosts, switchDests(n), repR); err != nil {
+		if _, err := trace.ReplayFromTo(n.Hosts, switchDests(n), repR); err != nil {
 			return nil, zero, err
 		}
 	}
@@ -178,7 +178,7 @@ func runFig4Cell(duration Time, o SimOpts, useConga bool, capW io.Writer, repR i
 	if (capW != nil || repR != nil) && o.Shards > 1 {
 		return Fig4Cell{}, ErrShardedCapture
 	}
-	n := NewNet(SimOpts{Seed: o.Seed + 13, Shards: o.Shards, Scheduler: o.Scheduler})
+	n := NewNet(SimOpts{Seed: o.Seed + 13, Shards: o.Shards})
 	hosts, _, _ := n.LeafSpine(100)
 	h0, h1, h2 := hosts[0], hosts[1], hosts[2]
 	sink0 := transport.NewSink(h2, 7100, link.ProtoUDP)
@@ -187,7 +187,7 @@ func runFig4Cell(duration Time, o SimOpts, useConga bool, capW io.Writer, repR i
 	var subs []*transport.UDPFlow
 	var bal *conga.Balancer
 	var tc *trace.Capture
-	var replayStats *trafficgen.ReplayStats
+	var replayStats *trace.ReplayStats
 	if repR == nil {
 		// Taps first: the balancer's Start sends its tag-discovery probes
 		// synchronously, and a trace missing them would replay to a lower
@@ -224,7 +224,7 @@ func runFig4Cell(duration Time, o SimOpts, useConga bool, capW io.Writer, repR i
 		}
 	} else {
 		var err error
-		if replayStats, err = trafficgen.ReplayFromTo(n.Hosts, switchDests(n), repR); err != nil {
+		if replayStats, err = trace.ReplayFromTo(n.Hosts, switchDests(n), repR); err != nil {
 			return Fig4Cell{}, err
 		}
 	}

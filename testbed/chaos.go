@@ -37,14 +37,10 @@ const (
 )
 
 // ChaosConfig parameterizes RunChaos. The zero value is the standard
-// scenario: seed 1, single shard, timing wheel.
+// scenario: seed 1, single shard.
 type ChaosConfig struct {
-	Seed      int64
-	Shards    int
-	Scheduler Scheduler
-	// Sync selects the shard synchronization algorithm; like Scheduler it
-	// never moves the fingerprint (the chaos determinism tests pin it).
-	Sync SyncMode
+	Seed   int64
+	Shards int
 	// MaxRecoveryEpochs bounds how many RCP* control periods (10 ms) after
 	// the restore instant the aggregate rate may take to regain 90% of its
 	// pre-fault baseline (default 60). Exceeding it is an error: the system
@@ -100,8 +96,8 @@ type ChaosResult struct {
 }
 
 // Fingerprint renders every simulated-behavior field — the string two runs
-// with the same seed must agree on byte-for-byte, regardless of shard count
-// or engine scheduler. Events is not one: it is a host-cost proxy that
+// with the same seed must agree on byte-for-byte, regardless of shard
+// count. Events is not one: it is a host-cost proxy that
 // moves with the shard count (boundary links run one more event a packet).
 func (r *ChaosResult) Fingerprint() string {
 	fp := fmt.Sprintf(
@@ -208,14 +204,14 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	// once and arm through SimOpts by constructing the plan from a throwaway
 	// twin topology. The twin is cheap (no traffic) and keeps NewNet the
 	// single constructor path.
-	twin := NewNet(SimOpts{Seed: cfg.Seed, Shards: cfg.Shards, Scheduler: cfg.Scheduler, Sync: cfg.Sync})
+	twin := NewNet(SimOpts{Seed: cfg.Seed, Shards: cfg.Shards})
 	twin.FatTree(4, 100)
 	plan, err := chaosPlan(twin, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 
-	net := NewNet(SimOpts{Seed: cfg.Seed, Shards: cfg.Shards, Scheduler: cfg.Scheduler, Sync: cfg.Sync, Faults: plan})
+	net := NewNet(SimOpts{Seed: cfg.Seed, Shards: cfg.Shards, Faults: plan})
 	pods := net.FatTree(4, 100)
 
 	res := &ChaosResult{

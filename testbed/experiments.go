@@ -16,8 +16,8 @@ import (
 	"minions/internal/hwmodel"
 	"minions/internal/link"
 	"minions/internal/sim"
-	"minions/internal/trafficgen"
 	"minions/internal/transport"
+	"minions/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -32,9 +32,6 @@ type Fig1Config struct {
 	Duration Time    // 2 s
 	Seed     int64
 	Shards   int // topology shards simulated in parallel (default 1)
-	// Scheduler selects the engine's pending-event structure (default:
-	// timing wheel); results are byte-identical across schedulers.
-	Scheduler Scheduler
 }
 
 // Fig1QueueStat summarizes one monitored queue.
@@ -75,7 +72,7 @@ func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
 	if cfg.Duration == 0 {
 		cfg.Duration = 2 * Second
 	}
-	n := NewNet(SimOpts{Seed: cfg.Seed + 3, Shards: cfg.Shards, Scheduler: cfg.Scheduler})
+	n := NewNet(SimOpts{Seed: cfg.Seed + 3, Shards: cfg.Shards})
 	hosts, _, _ := n.Dumbbell(cfg.Hosts, cfg.RateMbps)
 	mon := microburst.New(microburst.Config{
 		Filter: FilterSpec{Proto: link.ProtoUDP},
@@ -84,12 +81,14 @@ func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
 	if err := mon.Attach(n, nil); err != nil {
 		return nil, err
 	}
-	trafficgen.AllToAll(hosts, trafficgen.AllToAllConfig{
+	if _, err := workload.AllToAll(workload.AllToAllConfig{
 		MsgBytes: cfg.MsgBytes,
 		Load:     cfg.Load,
 		Duration: cfg.Duration,
 		Seed:     cfg.Seed + 11,
-	})
+	}).Attach(hosts); err != nil {
+		return nil, err
+	}
 	n.RunUntil(cfg.Duration + 100*Millisecond)
 	return fig1Summarize(mon), nil
 }
@@ -161,22 +160,8 @@ func RunFig2(duration Time, seed int64) (*Fig2Result, error) {
 	return RunFig2With(duration, SimOpts{Seed: seed})
 }
 
-// RunFig2Sharded is RunFig2 over a sharded simulation.
-//
-// Deprecated: use RunFig2With.
-func RunFig2Sharded(duration Time, seed int64, shards int) (*Fig2Result, error) {
-	return RunFig2With(duration, SimOpts{Seed: seed, Shards: shards})
-}
-
-// RunFig2Scheduler is RunFig2Sharded with an explicit engine scheduler.
-//
-// Deprecated: use RunFig2With.
-func RunFig2Scheduler(duration Time, seed int64, shards int, sched Scheduler) (*Fig2Result, error) {
-	return RunFig2With(duration, SimOpts{Seed: seed, Shards: shards, Scheduler: sched})
-}
-
 // RunFig2With runs Figure 2 with the given substrate options; results are
-// byte-identical across shard counts and schedulers for the same seed.
+// byte-identical across shard counts for the same seed.
 // See capture.go for the trace-captured and replayed variants.
 func RunFig2With(duration Time, o SimOpts) (*Fig2Result, error) {
 	return runFig2(duration, o, nil, nil, nil, nil)
@@ -304,22 +289,8 @@ func RunFig4(duration Time, seed int64) (*Fig4Result, error) {
 	return RunFig4With(duration, SimOpts{Seed: seed})
 }
 
-// RunFig4Sharded is RunFig4 over a sharded simulation.
-//
-// Deprecated: use RunFig4With.
-func RunFig4Sharded(duration Time, seed int64, shards int) (*Fig4Result, error) {
-	return RunFig4With(duration, SimOpts{Seed: seed, Shards: shards})
-}
-
-// RunFig4Scheduler is RunFig4Sharded with an explicit engine scheduler.
-//
-// Deprecated: use RunFig4With.
-func RunFig4Scheduler(duration Time, seed int64, shards int, sched Scheduler) (*Fig4Result, error) {
-	return RunFig4With(duration, SimOpts{Seed: seed, Shards: shards, Scheduler: sched})
-}
-
 // RunFig4With runs Figure 4 with the given substrate options; results are
-// byte-identical across shard counts and schedulers for the same seed.
+// byte-identical across shard counts for the same seed.
 // See capture.go for the trace-captured and replayed variants.
 func RunFig4With(duration Time, o SimOpts) (*Fig4Result, error) {
 	return runFig4(duration, o, nil, nil, nil, nil)

@@ -1,8 +1,8 @@
 package testbed
 
 // Equivalence guard for the flat-memory routing swap: the determinism tests
-// in shard_determinism_test.go pin that shards and schedulers agree with
-// each other, but nothing stopped the whole family from drifting together.
+// in shard_determinism_test.go pin that shard counts agree with each other,
+// but nothing stopped the whole family from drifting together.
 // These tests pin the *absolute* outputs — sha256 of the rendered Fig1/2/4
 // tables and the full behavioral fingerprint of ScaleResult — to values
 // captured from the map-based representation immediately before the swap to
@@ -23,8 +23,8 @@ import (
 )
 
 // Pre-refactor golden hashes of the figure tables. The tables are identical
-// across shards and schedulers (the determinism tests pin that), so one
-// hash per figure covers the whole matrix.
+// across shard counts (the determinism tests pin that), so one hash per
+// figure covers them all.
 const (
 	goldenFig1 = "6cb9a2531a8b65647528364b7c51cbfa8e8772730779afadadfad41ee7604f61"
 	goldenFig2 = "83af1513110ddc8192a21c615f6d09ed54940108aa98bb7d330f32f2ea77a4dd"
@@ -47,59 +47,56 @@ func goldenShards(t *testing.T) []int {
 }
 
 // TestGoldenFigures pins the Fig1/2/4 tables byte-for-byte (via sha256) to
-// their pre-refactor values, across both schedulers and shards 1/2/4.
+// their pre-refactor values at shards 1/2/4. (The "/wheel" in the subtest
+// names is the ID these cases have always run under.)
 func TestGoldenFigures(t *testing.T) {
 	for _, shards := range goldenShards(t) {
-		for _, sched := range schedulers {
-			t.Run(fmt.Sprintf("shards=%d/%v", shards, sched), func(t *testing.T) {
-				r1, err := RunFig1(Fig1Config{Duration: 400 * Millisecond, Shards: shards, Scheduler: sched})
-				if err != nil {
-					t.Fatal(err)
+		t.Run(fmt.Sprintf("shards=%d/wheel", shards), func(t *testing.T) {
+			r1, err := RunFig1(Fig1Config{Duration: 400 * Millisecond, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r2, err := RunFig2With(1500*Millisecond, SimOpts{Seed: 1, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r4, err := RunFig4With(2*Second, SimOpts{Seed: 1, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fig := range []struct {
+				name, want, table string
+			}{
+				{"fig1", goldenFig1, r1.Table()},
+				{"fig2", goldenFig2, r2.Table()},
+				{"fig4", goldenFig4, r4.Table()},
+			} {
+				if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fig.table))); got != fig.want {
+					t.Errorf("%s table drifted from pre-refactor golden:\nsha256 %s, want %s\n%s",
+						fig.name, got, fig.want, fig.table)
 				}
-				r2, err := RunFig2With(1500*Millisecond, SimOpts{Seed: 1, Shards: shards, Scheduler: sched})
-				if err != nil {
-					t.Fatal(err)
-				}
-				r4, err := RunFig4With(2*Second, SimOpts{Seed: 1, Shards: shards, Scheduler: sched})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, fig := range []struct {
-					name, want, table string
-				}{
-					{"fig1", goldenFig1, r1.Table()},
-					{"fig2", goldenFig2, r2.Table()},
-					{"fig4", goldenFig4, r4.Table()},
-				} {
-					if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fig.table))); got != fig.want {
-						t.Errorf("%s table drifted from pre-refactor golden:\nsha256 %s, want %s\n%s",
-							fig.name, got, fig.want, fig.table)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // TestGoldenScaleFingerprints pins the k=4 fat-tree ScaleResult counters to
-// their pre-refactor values across both schedulers and shards 1/2/4, and
-// the k=8 counters single-shard (k=8 routes arithmetically, so this is also
+// their pre-refactor values at shards 1/2/4, and the k=8 counters
+// single-shard (k=8 routes arithmetically, so this is also
 // a behavioral proof that the arithmetic builder matches what BFS produced
 // over the map representation). k=16 is pinned by TestRunScaleFatTreeK16.
 func TestGoldenScaleFingerprints(t *testing.T) {
 	for _, shards := range goldenShards(t) {
-		for _, sched := range schedulers {
-			res, err := RunScaleFatTree(ScaleConfig{
-				K: 4, Flows: 64, Duration: 30 * Millisecond,
-				WithTPP: true, Seed: 1, Shards: shards, Scheduler: sched,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fp := scaleFingerprint(res); fp != goldenScaleK4 {
-				t.Errorf("k=4 shards=%d %v drifted from pre-refactor golden:\n got %s\nwant %s",
-					shards, sched, fp, goldenScaleK4)
-			}
+		res, err := RunScaleFatTree(ScaleConfig{
+			K: 4, Flows: 64, Duration: 30 * Millisecond,
+			WithTPP: true, Seed: 1, Shards: shards,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp := scaleFingerprint(res); fp != goldenScaleK4 {
+			t.Errorf("k=4 shards=%d drifted from pre-refactor golden:\n got %s\nwant %s",
+				shards, fp, goldenScaleK4)
 		}
 	}
 	res, err := RunScaleFatTree(ScaleConfig{
@@ -144,41 +141,39 @@ func TestRunScaleFatTreeK16(t *testing.T) {
 // dense route lookup (split low/high tables, interned port groups) on
 // switches whose tables hold >1300 entries.
 func TestForwardPathZeroAllocsK16(t *testing.T) {
-	for _, sched := range schedulers {
-		t.Run(sched.String(), func(t *testing.T) {
-			net := NewNet(SimOpts{Seed: 1, Scheduler: sched})
-			pods := net.FatTree(16, 10_000)
-			src, dst := pods[0][0], pods[15][63] // cross-core diameter path
-			prog, err := scaleTelemetryProgram(6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			app := net.CP.RegisterApp("k16-e2e")
-			if _, err := src.AddTPP(app, FilterSpec{Proto: tppnet.ProtoUDP}, prog, 1, 0); err != nil {
-				t.Fatal(err)
-			}
-			var hopRecords uint64
-			dst.RegisterAggregator(app.Wire, func(p *Packet, view tpp.Section) {
-				hopRecords += uint64(view.HopOrSP()) / 2
-			})
-			sink := NewSink(dst, 9000, tppnet.ProtoUDP)
-			dstID := dst.ID()
-			step := func() {
-				src.Send(src.NewPacket(dstID, 5000, 9000, tppnet.ProtoUDP, 1000))
-				net.Run()
-			}
-			for i := 0; i < 200; i++ {
-				step()
-			}
-			if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
-				t.Fatalf("k=16 forward path allocated %.2f per packet, want 0", allocs)
-			}
-			if sink.Packets == 0 || hopRecords == 0 {
-				t.Fatalf("harness delivered %d packets, %d hop records — not exercising the path",
-					sink.Packets, hopRecords)
-			}
+	t.Run("wheel", func(t *testing.T) {
+		net := New(1)
+		pods := net.FatTree(16, 10_000)
+		src, dst := pods[0][0], pods[15][63] // cross-core diameter path
+		prog, err := scaleTelemetryProgram(6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		app := net.CP.RegisterApp("k16-e2e")
+		if _, err := src.AddTPP(app, FilterSpec{Proto: tppnet.ProtoUDP}, prog, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		var hopRecords uint64
+		dst.RegisterAggregator(app.Wire, func(p *Packet, view tpp.Section) {
+			hopRecords += uint64(view.HopOrSP()) / 2
 		})
-	}
+		sink := NewSink(dst, 9000, tppnet.ProtoUDP)
+		dstID := dst.ID()
+		step := func() {
+			src.Send(src.NewPacket(dstID, 5000, 9000, tppnet.ProtoUDP, 1000))
+			net.Run()
+		}
+		for i := 0; i < 200; i++ {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
+			t.Fatalf("k=16 forward path allocated %.2f per packet, want 0", allocs)
+		}
+		if sink.Packets == 0 || hopRecords == 0 {
+			t.Fatalf("harness delivered %d packets, %d hop records — not exercising the path",
+				sink.Packets, hopRecords)
+		}
+	})
 }
 
 // TestScaleSmokeK32MemoryCeiling builds and routes a k=32 fat-tree (8192

@@ -15,27 +15,11 @@ import (
 	"time"
 
 	"minions/internal/link"
-	"minions/internal/trafficgen"
 	"minions/telemetry"
 	"minions/tpp"
 	"minions/tppnet"
 	"minions/workload"
 )
-
-// RandomFlowsConfig parameterizes UniformRandomFlows.
-type RandomFlowsConfig = trafficgen.RandomFlowsConfig
-
-// UniformRandomFlows starts long-lived CBR flows between uniformly random
-// distinct host pairs, re-exported from the traffic generator.
-var UniformRandomFlows = trafficgen.UniformRandomFlows
-
-// AllToAllConfig parameterizes AllToAll.
-type AllToAllConfig = trafficgen.AllToAllConfig
-
-// AllToAll starts the Figure 1 workload — every host sends Poisson message
-// bursts to every other host — re-exported so example code and external
-// users can drive app-layer experiments without internal packages.
-var AllToAll = trafficgen.AllToAll
 
 // ScaleConfig parameterizes a fat-tree scale run.
 type ScaleConfig struct {
@@ -49,15 +33,6 @@ type ScaleConfig struct {
 	Seed         int64 // default 1
 	WithTPP      bool  // attach a 2-word/hop telemetry TPP to every data packet
 	Shards       int   // topology shards simulated in parallel (default 1)
-	// Scheduler selects the engine's pending-event structure (default:
-	// timing wheel). Simulated behavior is identical across schedulers —
-	// the determinism guards pin it — only wall-clock metrics move.
-	Scheduler Scheduler
-	// Sync selects the shard synchronization algorithm (default: the
-	// asynchronous per-channel-lookahead engine; SyncEpoch is the
-	// global-barrier reference). Behavior is byte-identical across modes;
-	// the ScaleResult sync counters quantify the synchronization saved.
-	Sync SyncMode
 	// Faults optionally arms a deterministic fault plan on the fat-tree
 	// (see tppnet.WithFaults). Nil keeps the hot path fault-free: the
 	// forwarding cost of an unarmed network is a single nil check, a
@@ -102,22 +77,21 @@ type ScaleResult struct {
 	PoolNews uint64        // pool draws that had to allocate
 
 	// Sharded-sync diagnostics for the measured window (all zero at one
-	// shard). SyncEpochs — group-wide synchronization points entered — and
+	// shard). SyncPoints — group-wide synchronization points entered — and
 	// SyncCrossings — shard-crossing deliveries drained — are deterministic
-	// for a given (seed, shards, sync mode); they are how shard overhead is
-	// diagnosed from committed JSON instead of noisy wall-clock. SyncDrains
+	// for a given (seed, shards); they are how shard overhead is diagnosed
+	// from committed JSON instead of noisy wall-clock. SyncDrains
 	// (non-empty mailbox sweeps) and SyncIdleMax (largest per-shard count
 	// of idle-wait quanta) depend on goroutine interleaving when shards run
 	// in parallel.
-	Sync          SyncMode
-	SyncEpochs    uint64
+	SyncPoints    uint64
 	SyncCrossings uint64
 	SyncDrains    uint64
 	SyncIdleMax   uint64
 
 	// WorkloadFingerprint is the workload.Runner's deterministic counter
 	// line when ScaleConfig.Workload drove the run (empty otherwise) —
-	// the cross-shard/scheduler/sync determinism guards compare it.
+	// the cross-shard determinism guards compare it.
 	WorkloadFingerprint string
 }
 
@@ -159,8 +133,8 @@ func (r *ScaleResult) Table() string {
 		float64(r.Wall.Microseconds())/1e3, r.PktHopsPerSec()/1e6, r.EventsPerSec()/1e6,
 		r.NsPerPktHop(), r.AllocsPerPktHop())
 	if r.Shards > 1 {
-		fmt.Fprintf(&b, "sync %s: %d sync points, %d crossings, %d drains, max idle waits %d\n",
-			r.Sync, r.SyncEpochs, r.SyncCrossings, r.SyncDrains, r.SyncIdleMax)
+		fmt.Fprintf(&b, "sync: %d sync points, %d crossings, %d drains, max idle waits %d\n",
+			r.SyncPoints, r.SyncCrossings, r.SyncDrains, r.SyncIdleMax)
 	}
 	return b.String()
 }
@@ -226,7 +200,7 @@ func RunScaleFatTree(cfg ScaleConfig) (*ScaleResult, error) {
 		}
 	}
 
-	net := NewNet(SimOpts{Seed: cfg.Seed, Shards: cfg.Shards, Scheduler: cfg.Scheduler, Sync: cfg.Sync, Faults: cfg.Faults})
+	net := NewNet(SimOpts{Seed: cfg.Seed, Shards: cfg.Shards, Faults: cfg.Faults})
 	pods := net.FatTree(cfg.K, cfg.RateMbps)
 	var hosts []*Host
 	for _, pod := range pods {
@@ -299,31 +273,32 @@ func RunScaleFatTree(cfg ScaleConfig) (*ScaleResult, error) {
 		}
 	}
 
-	var sinks []*Sink
-	var wr *workload.Runner
+	// The default workload is the canned uniform-random CBR flows; its
+	// fingerprint is not reported (the golden ScaleResult counters cover it).
+	spec := workload.UniformRandom(workload.UniformRandomConfig{
+		Flows:   cfg.Flows,
+		RateBps: int64(cfg.FlowRateMbps) * 1_000_000,
+		PktSize: cfg.PktSize,
+		DstPort: dstPort,
+		Seed:    cfg.Seed,
+	})
 	if cfg.Workload != nil {
-		spec := *cfg.Workload
+		spec = *cfg.Workload
 		if spec.Seed == 0 {
 			spec.Seed = cfg.Seed
 		}
-		var err error
-		if wr, err = spec.Attach(hosts); err != nil {
-			return nil, err
-		}
-		sinks = wr.Sinks
+	}
+	wr, err := spec.Attach(hosts)
+	if err != nil {
+		return nil, err
+	}
+	sinks := wr.Sinks
+	if cfg.Workload != nil {
 		res.Flows = wr.Sources()
 		// Heavy-tailed specs keep setting record queue depths long after any
 		// reasonable warmup; pre-commit the growth headroom so the measured
 		// window holds the zero-alloc contract (behavior is unchanged).
 		net.Prewarm(0, tppEncLen)
-	} else {
-		_, sinks = trafficgen.UniformRandomFlows(hosts, trafficgen.RandomFlowsConfig{
-			Flows:   cfg.Flows,
-			RateBps: int64(cfg.FlowRateMbps) * 1_000_000,
-			PktSize: cfg.PktSize,
-			DstPort: dstPort,
-			Seed:    cfg.Seed,
-		})
 	}
 
 	// Warm up: fill pools, rings and the event heap so the measured window
@@ -340,7 +315,6 @@ func RunScaleFatTree(cfg ScaleConfig) (*ScaleResult, error) {
 	// The aggregator accumulates from time zero; baseline it so
 	// TPPHopRecords covers the measured window like every other counter.
 	hopRecordsBefore := hopRecords.Load()
-	res.Sync = cfg.Sync
 	var syncBefore SyncStats
 	if g := net.Group(); g != nil {
 		syncBefore = g.Stats()
@@ -369,12 +343,12 @@ func RunScaleFatTree(cfg ScaleConfig) (*ScaleResult, error) {
 	res.PoolNews = newsAfter - newsBefore
 	if g := net.Group(); g != nil {
 		s := g.Stats()
-		res.SyncEpochs = s.Epochs - syncBefore.Epochs
+		res.SyncPoints = s.Epochs - syncBefore.Epochs
 		res.SyncCrossings = s.Crossings - syncBefore.Crossings
 		res.SyncDrains = s.Drains - syncBefore.Drains
 		res.SyncIdleMax = s.MaxIdleParks
 	}
-	if wr != nil {
+	if cfg.Workload != nil {
 		res.WorkloadFingerprint = wr.Fingerprint()
 	}
 	if cfg.Export != nil {
@@ -416,25 +390,7 @@ type E2EHarness struct {
 // telemetry program on the send path and a non-copying aggregator on the
 // receive path.
 func NewE2EHarness(withTPP bool) (*E2EHarness, error) {
-	return NewE2EHarnessWith(withTPP, SimOpts{})
-}
-
-// NewE2EHarnessScheduler is NewE2EHarness with an explicit engine scheduler.
-//
-// Deprecated: use NewE2EHarnessWith.
-func NewE2EHarnessScheduler(withTPP bool, sched Scheduler) (*E2EHarness, error) {
-	return NewE2EHarnessWith(withTPP, SimOpts{Scheduler: sched})
-}
-
-// NewE2EHarnessWith is NewE2EHarness with explicit substrate options, for
-// heap-vs-wheel A/B measurements of the same forward path. A zero Seed
-// means the harness default (1); the three-node topology is always a
-// single shard.
-func NewE2EHarnessWith(withTPP bool, o SimOpts) (*E2EHarness, error) {
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	net := NewNet(SimOpts{Seed: o.Seed, Scheduler: o.Scheduler})
+	net := New(1)
 	sw := net.AddSwitch(2)
 	src, dst := net.AddHost(), net.AddHost()
 	cfg := HostLink(10_000)

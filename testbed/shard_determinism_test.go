@@ -124,60 +124,6 @@ func TestShardDeterminismTCP(t *testing.T) {
 	}
 }
 
-// TestSchedulerDeterminismScaleFatTree pins the engine-core contract the
-// timing-wheel refactor must keep: heap and wheel schedulers produce
-// byte-identical ScaleResult counters at every shard count.
-func TestSchedulerDeterminismScaleFatTree(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		var base string
-		for _, sched := range schedulers {
-			res, err := RunScaleFatTree(ScaleConfig{
-				K: 4, Flows: 64, Duration: 30 * Millisecond,
-				WithTPP: true, Seed: 1, Shards: shards, Scheduler: sched,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fp := scaleFingerprint(res)
-			if sched == SchedulerWheel {
-				base = fp
-			} else if fp != base {
-				t.Errorf("shards=%d: heap diverges from wheel\n  wheel: %s\n  heap:  %s", shards, base, fp)
-			}
-		}
-	}
-}
-
-// TestSchedulerDeterminismFigures: the rendered Fig1/Fig2/Fig4 tables must
-// be byte-identical between heap and wheel schedulers at shards 1, 2 and 4.
-func TestSchedulerDeterminismFigures(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		tables := func(sched Scheduler) [3]string {
-			r1, err := RunFig1(Fig1Config{Duration: 400 * Millisecond, Shards: shards, Scheduler: sched})
-			if err != nil {
-				t.Fatal(err)
-			}
-			r2, err := RunFig2With(1500*Millisecond, SimOpts{Seed: 1, Shards: shards, Scheduler: sched})
-			if err != nil {
-				t.Fatal(err)
-			}
-			r4, err := RunFig4With(2*Second, SimOpts{Seed: 1, Shards: shards, Scheduler: sched})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return [3]string{r1.Table(), r2.Table(), r4.Table()}
-		}
-		wheel := tables(SchedulerWheel)
-		heap := tables(SchedulerHeap)
-		for i, name := range []string{"fig1", "fig2", "fig4"} {
-			if wheel[i] != heap[i] {
-				t.Errorf("%s shards=%d diverges between schedulers:\n-- wheel --\n%s-- heap --\n%s",
-					name, shards, wheel[i], heap[i])
-			}
-		}
-	}
-}
-
 // TestShardDeterminismRepeatable pins run-to-run reproducibility at a fixed
 // shard count (goroutine scheduling must never leak into results).
 func TestShardDeterminismRepeatable(t *testing.T) {

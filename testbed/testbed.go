@@ -6,16 +6,11 @@
 //
 // The network substrate itself (hosts, switches, links, topologies) lives
 // in package tppnet and the applications in apps/*; the aliases here exist
-// so experiment code and older callers need only one import. Runners that
-// used to come in Sharded/Scheduler variants now take a single SimOpts
-// option struct (RunFig2With, RunFig4With, NewE2EHarnessWith); the old
-// variants remain as thin deprecated wrappers.
+// so experiment code needs only one import. Runners take the substrate
+// options they share as a single SimOpts struct (RunFig2With, RunFig4With).
 package testbed
 
-import (
-	"minions/apps/ndb"
-	"minions/tppnet"
-)
+import "minions/tppnet"
 
 // Substrate types, re-exported from the tppnet facade.
 type (
@@ -39,10 +34,6 @@ type (
 	LinkConfig = tppnet.LinkConfig
 	// Time is virtual simulation time in nanoseconds.
 	Time = tppnet.Time
-	// Scheduler selects the engine's pending-event structure.
-	Scheduler = tppnet.Scheduler
-	// SyncMode selects the sharded engine's synchronization algorithm.
-	SyncMode = tppnet.SyncMode
 	// SyncStats are the sharded engine's synchronization counters.
 	SyncStats = tppnet.SyncStats
 	// UDPFlow is a rate-limited CBR sender.
@@ -51,8 +42,6 @@ type (
 	TCPFlow = tppnet.TCPFlow
 	// Sink counts received traffic.
 	Sink = tppnet.Sink
-	// Violation is one netwatch policy violation (§2.3), from apps/ndb.
-	Violation = ndb.Violation
 )
 
 // Time units.
@@ -62,34 +51,16 @@ const (
 	Second      = tppnet.Second
 )
 
-// Scheduler choices, re-exported for experiment configs and benchmarks.
-const (
-	SchedulerWheel = tppnet.SchedulerWheel
-	SchedulerHeap  = tppnet.SchedulerHeap
-)
-
-// Sync mode choices, re-exported for experiment configs and benchmarks:
-// the default asynchronous per-channel-lookahead engine, and the
-// global-epoch reference baseline.
-const (
-	SyncChannel = tppnet.SyncChannel
-	SyncEpoch   = tppnet.SyncEpoch
-)
-
 // SimOpts bundles the simulation-substrate options every runner shares:
-// the deterministic seed, the topology shard count, the engine's event
-// scheduler, the shard synchronization mode, and an optional fault plan.
-// The zero value means seed 0, single shard, timing wheel, asynchronous
-// channel sync, no faults. Shards, Scheduler and Sync never change
-// simulated behavior — the determinism guard tests pin byte-identical
-// results across all of them — only wall-clock performance. Faults DOES
-// change simulated behavior, deterministically: the plan carries its own
-// seed.
+// the deterministic seed, the topology shard count, and an optional fault
+// plan. The zero value means seed 0, single shard, no faults. Shards never
+// changes simulated behavior — the determinism guard tests pin
+// byte-identical results across shard counts — only wall-clock performance.
+// Faults DOES change simulated behavior, deterministically: the plan
+// carries its own seed.
 type SimOpts struct {
-	Seed      int64
-	Shards    int       // topology shards simulated in parallel (default 1)
-	Scheduler Scheduler // pending-event structure (default timing wheel)
-	Sync      SyncMode  // shard sync algorithm (default asynchronous channel)
+	Seed   int64
+	Shards int // topology shards simulated in parallel (default 1)
 	// Faults, when non-nil, arms the deterministic fault plan on the
 	// network (link flaps, loss, corruption, jitter, switch halts); see
 	// tppnet.WithFaults and testbed.RunChaos.
@@ -102,8 +73,6 @@ func NewNet(o SimOpts) *Network {
 	return tppnet.NewNetwork(
 		tppnet.WithSeed(o.Seed),
 		tppnet.WithShards(o.Shards),
-		tppnet.WithScheduler(o.Scheduler),
-		tppnet.WithSyncMode(o.Sync),
 		tppnet.WithFaults(o.Faults),
 	)
 }
@@ -111,20 +80,6 @@ func NewNet(o SimOpts) *Network {
 // New creates an empty single-shard network with a deterministic engine
 // seeded with seed.
 func New(seed int64) *Network { return NewNet(SimOpts{Seed: seed}) }
-
-// NewSharded creates an empty network split across shards topology shards.
-//
-// Deprecated: use NewNet(SimOpts{Seed: seed, Shards: shards}).
-func NewSharded(seed int64, shards int) *Network {
-	return NewNet(SimOpts{Seed: seed, Shards: shards})
-}
-
-// NewShardedScheduler is NewSharded with an explicit engine scheduler.
-//
-// Deprecated: use NewNet with SimOpts.
-func NewShardedScheduler(seed int64, shards int, sched Scheduler) *Network {
-	return NewNet(SimOpts{Seed: seed, Shards: shards, Scheduler: sched})
-}
 
 // HostLink returns a standard link config at the given rate.
 func HostLink(rateMbps int) LinkConfig { return tppnet.HostLink(rateMbps) }
@@ -168,23 +123,3 @@ var (
 	// SendBurst transmits a message as a back-to-back packet burst.
 	SendBurst = tppnet.SendBurst
 )
-
-// Netwatch attaches live §2.3 policy checking to an apps/ndb collector,
-// accumulating violations into the returned slice.
-//
-// Deprecated: use Deployment.Watch and app.Collect for the typed stream.
-func Netwatch(c *ndb.Collector, policies ...ndb.Policy) *[]Violation {
-	out := &[]Violation{}
-	c.Stream().Subscribe(func(h ndb.History) {
-		for _, p := range policies {
-			if v := p(h); v != nil {
-				*out = append(*out, *v)
-			}
-		}
-	})
-	return out
-}
-
-// IsolationPolicy flags packet histories crossing two host groups,
-// re-exported from apps/ndb.
-var IsolationPolicy = ndb.IsolationPolicy

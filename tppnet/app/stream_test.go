@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"minions/internal/sim"
 	"minions/tppnet"
 	"minions/tppnet/app"
 )
@@ -127,7 +128,7 @@ func TestStreamPublishFromShards(t *testing.T) {
 		id := uint64(h.ID())
 		eng := h.Engine()
 		for i := 1; i <= ticks; i++ {
-			eng.At(tppnet.Time(i)*tppnet.Millisecond, func() { s.Publish(id) })
+			eng.Schedule(tppnet.Time(i)*tppnet.Millisecond, sim.HandlerFunc(func() { s.Publish(id) }), 0)
 		}
 	}
 	net.RunFor(25 * tppnet.Millisecond)

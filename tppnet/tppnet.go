@@ -151,41 +151,6 @@ var (
 // Host.SetLocalMemory and in tests.
 type MapMemory = core.MapMemory
 
-// Scheduler selects the engine's pending-event structure (see WithScheduler).
-type Scheduler = sim.Scheduler
-
-// Scheduler choices.
-const (
-	// SchedulerWheel is the default hierarchical timing wheel: amortized
-	// O(1) event scheduling, the engine core of the simulator's hot path.
-	SchedulerWheel = sim.SchedulerWheel
-	// SchedulerHeap is the O(log n) binary-heap reference implementation,
-	// kept for equivalence testing and A/B benchmarking.
-	SchedulerHeap = sim.SchedulerHeap
-)
-
-// ParseScheduler resolves a -scheduler flag value ("wheel" or "heap").
-func ParseScheduler(name string) (Scheduler, error) { return sim.ParseScheduler(name) }
-
-// SyncMode selects the sharded engine's conservative synchronization
-// algorithm (see WithSyncMode).
-type SyncMode = sim.SyncMode
-
-// Sync mode choices.
-const (
-	// SyncChannel is the default asynchronous conservative engine:
-	// per-channel lookahead and incrementally drained lock-free mailboxes,
-	// with no global barriers inside a run.
-	SyncChannel = sim.SyncChannel
-	// SyncEpoch is the global-epoch reference engine: lockstep lookahead
-	// windows with a full barrier per epoch. Byte-identical behavior; kept
-	// as the measurable baseline for sync-overhead counters.
-	SyncEpoch = sim.SyncEpoch
-)
-
-// ParseSyncMode resolves a -sync flag value ("channel" or "epoch").
-func ParseSyncMode(name string) (SyncMode, error) { return sim.ParseSyncMode(name) }
-
 // SyncStats are the sharded engine's synchronization counters (see
 // sim.SyncStats); read them from Group().Stats() between runs.
 type SyncStats = sim.SyncStats
@@ -194,8 +159,6 @@ type SyncStats = sim.SyncStats
 type options struct {
 	seed   int64
 	shards int
-	sched  Scheduler
-	sync   SyncMode
 	faults *faults.Plan
 }
 
@@ -208,25 +171,15 @@ func WithSeed(seed int64) Option {
 	return func(o *options) { o.seed = seed }
 }
 
-// WithScheduler selects the pending-event structure of every shard engine:
-// the default timing wheel, or the reference binary heap. The choice moves
-// wall-clock performance only — simulated behavior is byte-identical either
-// way, a contract pinned by the scheduler-equivalence and determinism guard
-// tests.
-func WithScheduler(s Scheduler) Option {
-	return func(o *options) { o.sched = s }
-}
-
 // WithShards splits the network across n topology shards, each simulated by
 // its own engine (and persistent worker goroutine, when GOMAXPROCS allows)
-// and synchronized conservatively: by default each shard advances
-// asynchronously to the minimum over its incoming shard-crossing links of
-// (source-shard clock + link propagation delay), draining lock-free
-// crossing mailboxes as it goes (see WithSyncMode for the global-epoch
-// reference engine). The default, 1, is the classic single-engine
-// simulator. The built-in topology methods partition automatically
-// (pod-aligned for fat-trees, min-cut-ish otherwise); manually wired nodes
-// land in shard 0 unless a partition is planned via PlanPartition.
+// and synchronized conservatively: each shard advances asynchronously to
+// the minimum over its incoming shard-crossing links of (source-shard clock
+// + link propagation delay), draining lock-free crossing mailboxes as it
+// goes. The default, 1, is the classic single-engine simulator. The
+// built-in topology methods partition automatically (pod-aligned for
+// fat-trees, min-cut-ish otherwise); manually wired nodes land in shard 0
+// unless a partition is planned via PlanPartition.
 //
 // Results are deterministic for a given (seed, shard count) regardless of
 // goroutine scheduling, and match the single-shard run except in the
@@ -234,16 +187,6 @@ func WithScheduler(s Scheduler) Option {
 // colliding on both firing and insertion instants (see sim.ShardGroup).
 func WithShards(n int) Option {
 	return func(o *options) { o.shards = n }
-}
-
-// WithSyncMode selects the sharded engine's synchronization algorithm: the
-// default asynchronous per-channel-lookahead engine, or the global-epoch
-// reference. Like WithScheduler, the choice moves synchronization cost
-// only — simulated behavior is byte-identical either way, pinned by the
-// shard-sync equivalence tests and the testbed goldens. Single-shard
-// networks ignore it.
-func WithSyncMode(m SyncMode) Option {
-	return func(o *options) { o.sync = m }
 }
 
 // WithFaults arms a fault plan on the network: the plan's fault events are
@@ -272,14 +215,10 @@ func NewNetwork(opts ...Option) *Network {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	net := &Network{
-		Network:   topo.NewShardedScheduler(o.seed, o.shards, o.sched),
+	return &Network{
+		Network:   topo.NewSharded(o.seed, o.shards),
 		faultPlan: o.faults,
 	}
-	if g := net.Group(); g != nil {
-		g.Mode = o.sync
-	}
-	return net
 }
 
 // ArmFaults arms the WithFaults plan now (idempotent): topology wiring must

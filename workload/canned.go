@@ -2,8 +2,8 @@ package workload
 
 import "minions/internal/sim"
 
-// AllToAllConfig mirrors the legacy trafficgen all-to-all workload: every
-// host Poisson-sends fixed-size messages to uniform-random peers as
+// AllToAllConfig parameterizes the paper's all-to-all workload: every host
+// Poisson-sends fixed-size messages to uniform-random peers as
 // back-to-back bursts — the §2.1 microburst traffic.
 type AllToAllConfig struct {
 	MsgBytes int     // bytes per message
@@ -14,15 +14,14 @@ type AllToAllConfig struct {
 	Seed     int64
 }
 
-// AllToAll returns the canned all-to-all Spec. With Seed/defaults matching,
-// the compiled generators replay the legacy internal/trafficgen.AllToAll
-// byte-identically (same per-host RNG streams, same draw order) — the
-// Fig1/Fig2 golden tables pin this.
+// AllToAll returns the canned all-to-all Spec. Its per-host RNG streams and
+// draw order are what the Fig1/Fig2 golden tables were captured under, so
+// they are pinned byte for byte.
 func AllToAll(cfg AllToAllConfig) Spec {
 	load := cfg.Load
 	if cfg.Duration <= 0 {
-		// Legacy semantics: a zero duration stops senders at t=0, i.e.
-		// no traffic at all. Compile no senders so Run() still terminates.
+		// A zero duration stops senders at t=0, i.e. no traffic at all.
+		// Compile no senders so Run() still terminates.
 		load = 0
 	}
 	return Spec{Seed: cfg.Seed, Groups: []Group{{
@@ -37,8 +36,8 @@ func AllToAll(cfg AllToAllConfig) Spec {
 	}}}
 }
 
-// UniformRandomConfig mirrors the legacy trafficgen uniform-random-flows
-// workload: long-lived CBR UDP flows between uniform-random host pairs.
+// UniformRandomConfig parameterizes the uniform-random-flows workload:
+// long-lived CBR UDP flows between uniform-random host pairs.
 type UniformRandomConfig struct {
 	Flows    int
 	RateBps  int64
@@ -48,10 +47,9 @@ type UniformRandomConfig struct {
 	MaxStart sim.Time // start jitter window (default 1 ms)
 }
 
-// UniformRandom returns the canned uniform-random-flows Spec, byte-identical
-// to the legacy internal/trafficgen.UniformRandomFlows (one shared pair RNG,
-// same sink/flow creation order) — the ScaleResult golden fingerprints pin
-// this.
+// UniformRandom returns the canned uniform-random-flows Spec. Its draw order
+// (one shared pair RNG; sinks, then flows, in creation order) is what the
+// ScaleResult golden fingerprints were captured under.
 func UniformRandom(cfg UniformRandomConfig) Spec {
 	return Spec{Seed: cfg.Seed, Groups: []Group{{
 		Name: "uniform-random",

@@ -12,7 +12,7 @@
 //     elephant/mice mixes. A class sends back-to-back bursts or paces
 //     through a precise per-source token bucket.
 //   - Flows: long-lived CBR UDP flows between uniform-random pairs (the
-//     legacy trafficgen workload), or bounded TCP transfers.
+//     scale harness's default workload), or bounded TCP transfers.
 //   - Incast: partition-aggregate request/response rounds — aggregators
 //     fan requests to a random worker subset each period and the workers'
 //     synchronized responses collide on the aggregator's edge link.
@@ -75,8 +75,8 @@ type Group struct {
 	Start, Stop sim.Time
 	// SeedOffset separates this group's RNG streams from the Spec seed.
 	// When 0, group i>0 derives a distinct default offset; group 0 uses
-	// Spec.Seed directly (which is what makes the legacy trafficgen
-	// bridges byte-identical).
+	// Spec.Seed directly (which is what keeps the canned specs on the RNG
+	// streams the testbed goldens were captured under).
 	SeedOffset int64
 	// SportBase is the first source port the group's senders use (each
 	// source/flow gets SportBase+index). 0 picks a per-kind default
@@ -99,8 +99,8 @@ type MessageSpec struct {
 	// one is required.
 	Classes []Class
 	// Load sets the per-source arrival rate as a fraction of the source
-	// NIC's line rate carried in mean-sized messages (the legacy
-	// trafficgen convention): arrivals/sec = Load * nic_bps / (mean_bytes*8).
+	// NIC's line rate carried in mean-sized messages:
+	// arrivals/sec = Load * nic_bps / (mean_bytes*8).
 	Load float64
 	// ArrivalsPerSec, when > 0, sets the per-source arrival rate directly
 	// and overrides Load.
@@ -136,8 +136,7 @@ type Class struct {
 }
 
 // FlowSpec generates long-lived flows between uniform-random host pairs —
-// the legacy trafficgen "uniform random flows" workload, plus a bounded TCP
-// variant.
+// the "uniform random flows" workload, plus a bounded TCP variant.
 type FlowSpec struct {
 	// Flows is the number of flows (required).
 	Flows int
@@ -570,7 +569,7 @@ func compileMessages(g *Group, gr *groupRun, hosts []*host.Host, seed int64, r *
 			eng: h.Engine(), src: h, rng: rng, g: gr,
 			dsts: dsts, meanGap: float64(sim.Second) / perSec,
 			pktSize: pktSize, sport: uint16(sportBase + i), dport: dstPort,
-			stopAt: stopAt,
+			stopAt:  stopAt,
 			classes: classes, pick: pick,
 		}
 		if paced {
@@ -646,14 +645,14 @@ func compileFlows(g *Group, gr *groupRun, hosts []*host.Host, seed int64, r *Run
 			fl.SetMessage(msgBytes)
 			r.TCPFlows = append(r.TCPFlows, fl)
 			start := g.Start + sim.Time(rng.Int63n(int64(maxStart)))
-			cand[si].Engine().At(start, fl.Start)
+			cand[si].Engine().Schedule(start, tcpStarter{fl}, 0)
 		}
 		gr.sources += f.Flows
 		r.nsrc += f.Flows
 		return nil
 	}
-	// Legacy draw order (trafficgen.UniformRandomFlows): sinks on every
-	// candidate first, then one shared group RNG drawing src, dst,
+	// Draw order the golden fingerprints pin: sinks on every candidate
+	// first, then one shared group RNG drawing src, dst,
 	// then the start jitter per flow.
 	for _, h := range cand {
 		r.Sinks = append(r.Sinks, transport.NewSink(h, dstPort, link.ProtoUDP))
@@ -669,11 +668,12 @@ func compileFlows(g *Group, gr *groupRun, hosts []*host.Host, seed int64, r *Run
 		fl := transport.NewUDPFlow(cand[si], cand[di].ID(), uint16(sportBase+i), dstPort, pktSize)
 		fl.SetRateBps(f.RateBps)
 		r.UDPFlows = append(r.UDPFlows, fl)
-		r.sources = append(r.sources, udpHalter{fl})
+		h := udpHalter{fl}
+		r.sources = append(r.sources, h)
 		start := g.Start + sim.Time(rng.Int63n(int64(maxStart)))
-		cand[si].Engine().At(start, fl.Start)
+		cand[si].Engine().Schedule(start, h, udpStart)
 		if stopAt != unbounded {
-			cand[si].Engine().At(stopAt, fl.Stop)
+			cand[si].Engine().Schedule(stopAt, h, udpStop)
 		}
 	}
 	gr.sources += f.Flows
@@ -681,6 +681,27 @@ func compileFlows(g *Group, gr *groupRun, hosts []*host.Host, seed int64, r *Run
 	return nil
 }
 
+// udpHalter is a canned UDP flow's switch: the runner halts it, and as an
+// event handler it starts (udpStart) or stops (udpStop) it at the group's
+// Start and Stop instants.
 type udpHalter struct{ f *transport.UDPFlow }
 
+const (
+	udpStart uint64 = iota
+	udpStop
+)
+
 func (u udpHalter) halt() { u.f.Stop() }
+
+func (u udpHalter) Handle(arg uint64) {
+	if arg == udpStart {
+		u.f.Start()
+	} else {
+		u.f.Stop()
+	}
+}
+
+// tcpStarter starts a canned TCP flow at its jittered start instant.
+type tcpStarter struct{ f *transport.TCPFlow }
+
+func (s tcpStarter) Handle(uint64) { s.f.Start() }
