@@ -2,7 +2,9 @@
 // Each benchmark runs the corresponding experiment from minions/testbed and
 // reports its headline numbers as custom metrics, so `go test -bench=.`
 // doubles as the reproduction harness. EXPERIMENTS.md records paper-vs-
-// measured values for each one.
+// measured values for each one. The two BenchmarkEndToEndHop cases at the end
+// are the exception: they time the simulator's own forward path, one packet
+// at a time. (Whole-fabric timing is bench/'s tppbench, not a go benchmark.)
 package minions_test
 
 import (
@@ -36,7 +38,7 @@ func BenchmarkFig1Microburst(b *testing.B) {
 // fairness under RCP*.
 func BenchmarkFig2RCPFairness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := testbed.RunFig2(6*testbed.Second, int64(i))
+		res, err := testbed.RunFig2(6*testbed.Second, testbed.SimOpts{Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,7 +87,7 @@ func BenchmarkSec23NetSightOverhead(b *testing.B) {
 // BenchmarkFig4CongaVsECMP regenerates the Figure 4 comparison table.
 func BenchmarkFig4CongaVsECMP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := testbed.RunFig4(3*testbed.Second, int64(i))
+		res, err := testbed.RunFig4(3*testbed.Second, testbed.SimOpts{Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -195,4 +197,32 @@ func BenchmarkSec21Overhead(b *testing.B) {
 	}
 	b.ReportMetric(84, "tpp-bytes-5hops")
 	b.Log("\n" + out)
+}
+
+// BenchmarkEndToEndHop measures one steady-state forward cycle — host send
+// with TPP attachment → switch hop with TCPU execution → terminal delivery
+// and packet recycle. allocs/op is the headline: 0 in steady state.
+func BenchmarkEndToEndHop(b *testing.B) {
+	benchmarkHop(b, true)
+}
+
+// BenchmarkEndToEndHopNoTPP is the same cycle without TPP attachment — the
+// baseline that isolates instrumentation cost.
+func BenchmarkEndToEndHopNoTPP(b *testing.B) {
+	benchmarkHop(b, false)
+}
+
+func benchmarkHop(b *testing.B, withTPP bool) {
+	e, err := testbed.NewE2EHarness(withTPP)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		e.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
 }

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -22,29 +23,34 @@ import (
 	"minions/workload"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run executes the selected experiments and returns the process exit code;
-// it exists so deferred profile writers flush before exit.
-func run() int {
-	runList := flag.String("run", "all", "comma-separated experiment ids")
-	quick := flag.Bool("quick", false, "scale workloads down for a fast pass")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	shards := flag.Int("shards", 1, "topology shards for the simulation-driven figures (fig1, fig2, fig4); results are byte-identical to -shards 1")
-	flag.Parse()
+// run executes the selected experiments and returns the process exit code
+// (2 for a command line it rejects); it exists so deferred profile writers
+// flush before exit, and so the tests can drive the command in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runList := fs.String("run", "all", "comma-separated experiment ids")
+	quick := fs.Bool("quick", false, "scale workloads down for a fast pass")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	shards := fs.Int("shards", 1, "topology shards for the simulation-driven figures (fig1, fig2, fig4); results are byte-identical to -shards 1")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	// Profiling hooks so perf work can profile the exact experiment
 	// workloads: go tool pprof ./experiments cpu.pprof
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
+			fmt.Fprintln(stderr, "cpuprofile:", err)
 			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
+			fmt.Fprintln(stderr, "cpuprofile:", err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -53,35 +59,29 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
+				fmt.Fprintln(stderr, "memprofile:", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // materialize up-to-date heap statistics
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
+				fmt.Fprintln(stderr, "memprofile:", err)
 			}
 		}()
 	}
 
-	sel := map[string]bool{}
-	for _, id := range strings.Split(*runList, ",") {
-		sel[strings.TrimSpace(id)] = true
+	// The section calls below are the one list of experiment ids: each
+	// registers its runner under its heading — one id, or several joined by
+	// "+" when one table answers to any of them — and the -run selector is
+	// checked against what they registered before anything runs.
+	type experiment struct {
+		heading string
+		ids     []string
+		fn      func() (string, error)
 	}
-	all := sel["all"]
-	want := func(id string) bool { return all || sel[id] }
-	failed := false
-	section := func(id string, fn func() (string, error)) {
-		if !want(id) {
-			return
-		}
-		out, err := fn()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
-			failed = true
-			return
-		}
-		fmt.Printf("==== %s ====\n%s\n", id, out)
+	var experiments []experiment
+	section := func(heading string, fn func() (string, error)) {
+		experiments = append(experiments, experiment{heading, strings.Split(heading, "+"), fn})
 	}
 
 	simSecs := testbed.Time(8) * testbed.Second
@@ -100,7 +100,7 @@ func run() int {
 		return r.Table(), nil
 	})
 	section("fig2", func() (string, error) {
-		r, err := testbed.RunFig2With(simSecs, testbed.SimOpts{Seed: 1, Shards: *shards})
+		r, err := testbed.RunFig2(simSecs, testbed.SimOpts{Seed: 1, Shards: *shards})
 		if err != nil {
 			return "", err
 		}
@@ -152,7 +152,7 @@ func run() int {
 		return r.Table(), nil
 	})
 	section("fig4", func() (string, error) {
-		r, err := testbed.RunFig4With(simSecs/2, testbed.SimOpts{Seed: 1, Shards: *shards})
+		r, err := testbed.RunFig4(simSecs/2, testbed.SimOpts{Seed: 1, Shards: *shards})
 		if err != nil {
 			return "", err
 		}
@@ -165,12 +165,46 @@ func run() int {
 		}
 		return r.Table(), nil
 	})
-	if want("tbl3") || want("tbl4") {
-		fmt.Printf("==== tbl3+tbl4 ====\n%s\n", testbed.HardwareTables())
-	}
+	section("tbl3+tbl4", func() (string, error) { return testbed.HardwareTables(), nil })
 	section("fig10", func() (string, error) { return testbed.RunFig10(benchPkts) })
 	section("tbl5", func() (string, error) { return testbed.RunTable5(benchPkts) })
 
+	valid := map[string]bool{"all": true}
+	names := []string{"all"}
+	for _, e := range experiments {
+		for _, id := range e.ids {
+			valid[id] = true
+		}
+		names = append(names, e.ids...)
+	}
+	sel := map[string]bool{}
+	for _, id := range strings.Split(*runList, ",") {
+		id = strings.TrimSpace(id)
+		if !valid[id] {
+			fmt.Fprintf(stderr, "experiments: unknown experiment id %q in -run; valid ids: %s\n",
+				id, strings.Join(names, " "))
+			return 2
+		}
+		sel[id] = true
+	}
+
+	failed := false
+	for _, e := range experiments {
+		want := sel["all"]
+		for _, id := range e.ids {
+			want = want || sel[id]
+		}
+		if !want {
+			continue
+		}
+		out, err := e.fn()
+		if err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", e.heading, err)
+			failed = true
+			continue
+		}
+		fmt.Fprintf(stdout, "==== %s ====\n%s\n", e.heading, out)
+	}
 	if failed {
 		return 1
 	}

@@ -107,6 +107,48 @@ func TestShardGroupDeadlineOnEpochBoundary(t *testing.T) {
 	}
 }
 
+// TestShardGroupQuantumExclusiveAtHorizon is the case a quantum must end
+// *before* its horizon instant for: two crossings from different channels
+// land on one instant, and the one that sorts first (older insertion stamp)
+// becomes visible last. Shard 2 hears from shard 0 over a 10 ns channel and
+// from shard 1 over a 4 ns one, and at t=0 asks shard 0 (10 ns away) to send.
+// In round-robin order, round one leaves shard 0 idle at clock 10 (the
+// request is not emitted yet), takes shard 1 to clock 18 past its t=16 send
+// (delivering at 20, ins=16), and gives shard 2 the horizon 10+10 = 20 with
+// only that crossing in its mailbox. Round two delivers the request at t=10
+// and shard 0's reply lands at 20 too, with ins=10: it must fire first.
+// Running shard 2's first quantum inclusively fires the ins=16 crossing a
+// round early. The sequential runtime produces this interleaving every
+// time; the parallel arm and the oracle must agree with it.
+func TestShardGroupQuantumExclusiveAtHorizon(t *testing.T) {
+	run := func(parallel bool, mode syncImpl) []string {
+		var log []string
+		e0, e1, e2 := New(1), New(2), New(3)
+		g := NewShardGroup([]*Engine{e0, e1, e2})
+		g.Parallel = parallel
+		c02 := g.AddChannel(0, 2, 10)
+		c12 := g.AddChannel(1, 2, 4)
+		c20 := g.AddChannel(2, 0, 10)
+		g.AddChannel(2, 1, 18) // paces shard 1: its first quantum ends at t=18
+		sink := &crossSink{eng: e2, log: &log}
+
+		reply := HandlerFunc(func() { c02.Send(e0.Now(), sink, 10) })
+		e2.Schedule(0, HandlerFunc(func() { c20.Send(e2.Now(), reply, 0) }), 0)
+		e1.Schedule(16, HandlerFunc(func() { c12.Send(e1.Now(), sink, 16) }), 0)
+		mode.runUntil(g, 40)
+		return log
+	}
+
+	want := []string{"recv 10 @20", "recv 16 @20"}
+	for _, mode := range syncImpls {
+		for _, parallel := range []bool{false, true} {
+			if got := run(parallel, mode); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%v parallel=%v: same-instant crossings fired as %v, want %v", mode, parallel, got, want)
+			}
+		}
+	}
+}
+
 // TestShardGroupRunIndependent covers the no-channel path: shards drain
 // fully and clocks settle at the latest shard's last event.
 func TestShardGroupRunIndependent(t *testing.T) {

@@ -79,8 +79,8 @@ func (s *NDJSONSink) Close() error {
 
 // AppendRecordJSON appends r's pinned NDJSON object (without newline) to
 // dst and returns the extended slice, allocating only when dst must grow.
-// It is exported so tools (cmd/tppdump, cmd/benchjson) render records
-// byte-identically to the sink.
+// It is exported so tools (cmd/tppdump) render records byte-identically to
+// the sink.
 func AppendRecordJSON(dst []byte, r *Record) []byte {
 	dst = append(dst, `{"at":`...)
 	dst = strconv.AppendInt(dst, r.At, 10)

@@ -43,7 +43,7 @@ func switchDests(n *Network) []link.NodeID {
 	return ids
 }
 
-// RunFig2Captured is RunFig2With with every host transmit of each panel
+// RunFig2Captured is RunFig2 with every host transmit of each panel
 // recorded to the given writers (binary trace format, see telemetry/trace).
 // Either writer may be nil to skip capturing that panel.
 func RunFig2Captured(duration Time, o SimOpts, maxmin, prop io.Writer) (*Fig2Result, error) {
@@ -142,7 +142,7 @@ func runFig2Panel(duration Time, o SimOpts, alpha float64, capW io.Writer, repR 
 	return series, final, nil
 }
 
-// RunFig4Captured is RunFig4With with every host transmit of each scheme's
+// RunFig4Captured is RunFig4 with every host transmit of each scheme's
 // run recorded to the given writers. Either writer may be nil to skip
 // capturing that scheme.
 func RunFig4Captured(duration Time, o SimOpts, ecmp, cng io.Writer) (*Fig4Result, error) {

@@ -239,8 +239,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	for i := 0; i < 4; i++ {
 		src, dst := pods[0][i], pods[3][i]
 		port := uint16(7001 + i)
-		sinks = append(sinks, NewSink(dst, port, tppnet.ProtoUDP))
-		udp := NewUDPFlow(src, dst.ID(), port, port, 1500)
+		sinks = append(sinks, tppnet.NewSink(dst, port, tppnet.ProtoUDP))
+		udp := tppnet.NewUDPFlow(src, dst.ID(), port, port, 1500)
 		sys.NewFlow(src, dst.ID(), udp)
 	}
 	if err := sys.Start(); err != nil {
@@ -264,10 +264,10 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		return nil, err
 	}
 	tagger := bal.Tagger()
-	sinks = append(sinks, NewSink(pods[2][0], 7500, tppnet.ProtoUDP))
+	sinks = append(sinks, tppnet.NewSink(pods[2][0], 7500, tppnet.ProtoUDP))
 	var subs []*UDPFlow
 	for i := 0; i < 4; i++ {
-		f := NewUDPFlow(pods[1][0], pods[2][0].ID(), uint16(7510+i), 7500, 1500)
+		f := tppnet.NewUDPFlow(pods[1][0], pods[2][0].ID(), uint16(7510+i), 7500, 1500)
 		f.SetRateBps(15_000_000)
 		f.Tagger = tagger
 		f.Start()

@@ -17,6 +17,7 @@ import (
 	"minions/internal/link"
 	"minions/internal/sim"
 	"minions/internal/transport"
+	"minions/tppnet"
 	"minions/workload"
 )
 
@@ -155,15 +156,10 @@ type Fig2Result struct {
 }
 
 // RunFig2 reproduces Figure 2: flows a (2 links), b, c (1 link each) at the
-// given duration per panel.
-func RunFig2(duration Time, seed int64) (*Fig2Result, error) {
-	return RunFig2With(duration, SimOpts{Seed: seed})
-}
-
-// RunFig2With runs Figure 2 with the given substrate options; results are
-// byte-identical across shard counts for the same seed.
+// given duration per panel. Results are byte-identical across shard counts
+// for the same seed.
 // See capture.go for the trace-captured and replayed variants.
-func RunFig2With(duration Time, o SimOpts) (*Fig2Result, error) {
+func RunFig2(duration Time, o SimOpts) (*Fig2Result, error) {
 	return runFig2(duration, o, nil, nil, nil, nil)
 }
 
@@ -203,7 +199,7 @@ func RunSec22(flowCounts []int, duration Time, seed int64) ([]Sec22Row, error) {
 	for _, nf := range flowCounts {
 		// RCP* run. A 2 ms control period approximates the paper's
 		// once-per-RTT control packets.
-		n := New(seed + 7)
+		n := NewNet(SimOpts{Seed: seed + 7})
 		hosts, _ := n.Chain(100)
 		sys := rcp.New(rcp.Config{CapacityMbps: 100, Period: 2 * Millisecond})
 		if err := sys.Attach(n, nil); err != nil {
@@ -232,7 +228,7 @@ func RunSec22(flowCounts []int, duration Time, seed int64) ([]Sec22Row, error) {
 		}
 
 		// TCP baseline.
-		n2 := New(seed + 9)
+		n2 := NewNet(SimOpts{Seed: seed + 9})
 		hosts2, _ := n2.Chain(100)
 		var tsinks []*transport.TCPSink
 		var tdata uint64
@@ -284,15 +280,10 @@ type Fig4Result struct {
 	Conga Fig4Cell
 }
 
-// RunFig4 reproduces the Figure 4 example.
-func RunFig4(duration Time, seed int64) (*Fig4Result, error) {
-	return RunFig4With(duration, SimOpts{Seed: seed})
-}
-
-// RunFig4With runs Figure 4 with the given substrate options; results are
-// byte-identical across shard counts for the same seed.
+// RunFig4 reproduces the Figure 4 example. Results are byte-identical across
+// shard counts for the same seed.
 // See capture.go for the trace-captured and replayed variants.
-func RunFig4With(duration Time, o SimOpts) (*Fig4Result, error) {
+func RunFig4(duration Time, o SimOpts) (*Fig4Result, error) {
 	return runFig4(duration, o, nil, nil, nil, nil)
 }
 
@@ -322,7 +313,7 @@ type Sec23Result struct {
 
 // RunSec23 verifies the accounting against a live run.
 func RunSec23() (*Sec23Result, error) {
-	n := New(17)
+	n := NewNet(SimOpts{Seed: 17})
 	hosts, _, _ := n.Dumbbell(4, 1000)
 	d := ndb.New(ndb.Config{
 		Filter: FilterSpec{Proto: link.ProtoUDP},
@@ -375,7 +366,7 @@ type Sec25Result struct {
 
 // RunSec25 runs the cardinality measurement end to end.
 func RunSec25() (*Sec25Result, error) {
-	n := New(21)
+	n := NewNet(SimOpts{Seed: 21})
 	hosts, _, _ := n.Dumbbell(6, 1000)
 	sys := sketch.New(sketch.Config{
 		Filter:      FilterSpec{Proto: link.ProtoUDP},
@@ -417,7 +408,7 @@ func RunSec25() (*Sec25Result, error) {
 		tx += h.Stats().TxBytes
 		tppBytes += h.Stats().TPPBytesAdded
 	}
-	ftHosts, ftLinks := FatTreeDims(64)
+	ftHosts, ftLinks := tppnet.FatTreeDims(64)
 	return &Sec25Result{
 		TrueSources:   srcs,
 		Estimate:      best,

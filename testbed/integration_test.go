@@ -8,18 +8,19 @@ import (
 	"minions/internal/mem"
 	"minions/testbed"
 	"minions/tpp"
+	"minions/tppnet"
 )
 
 // chain builds h0 - s1 - s2 - ... - sN - h1.
 func chainN(t *testing.T, switches int) (*testbed.Network, *testbed.Host, *testbed.Host) {
 	t.Helper()
-	n := testbed.New(3)
+	n := testbed.NewNet(testbed.SimOpts{Seed: 3})
 	var sws []*testbed.Switch
 	for i := 0; i < switches; i++ {
 		sws = append(sws, n.AddSwitch(4))
 	}
 	h0, h1 := n.AddHost(), n.AddHost()
-	cfg := testbed.HostLink(1000)
+	cfg := tppnet.HostLink(1000)
 	n.Connect(h0, sws[0], cfg)
 	n.Connect(h1, sws[len(sws)-1], cfg)
 	for i := 0; i+1 < len(sws); i++ {
@@ -81,10 +82,10 @@ func TestSplitCollectionAcrossRealNetwork(t *testing.T) {
 // subsequent packet histories show the new path and a bumped table version.
 func TestInBandRerouteObservedByHistories(t *testing.T) {
 	// Diamond: h0 - s1 - {s2 | s3} - s4 - h1, initially routed via s2.
-	n := testbed.New(4)
+	n := testbed.NewNet(testbed.SimOpts{Seed: 4})
 	s1, s2, s3, s4 := n.AddSwitch(4), n.AddSwitch(4), n.AddSwitch(4), n.AddSwitch(4)
 	h0, h1 := n.AddHost(), n.AddHost()
-	cfg := testbed.HostLink(1000)
+	cfg := tppnet.HostLink(1000)
 	n.Connect(h0, s1, cfg)
 	n.Connect(s1, s2, cfg)
 	n.Connect(s1, s3, cfg)

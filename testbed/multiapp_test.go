@@ -18,8 +18,8 @@ import (
 )
 
 func TestMultiAppCompositionNdbPlusRCP(t *testing.T) {
-	n := testbed.New(42)
-	hosts, _ := testbed.Chain(n, 100)
+	n := testbed.NewNet(testbed.SimOpts{Seed: 42})
+	hosts, _ := n.Chain(100)
 
 	// App 1: RCP* — allocates two per-link registers and write grants.
 	sys := rcp.New(rcp.Config{CapacityMbps: 100})
@@ -38,8 +38,8 @@ func TestMultiAppCompositionNdbPlusRCP(t *testing.T) {
 	rates := app.Collect(sys.Rates())
 
 	// One RCP-controlled flow; packets sized so the ndb TPP also fits.
-	sink := testbed.NewSink(n.Hosts[4], 7001, tppnet.ProtoUDP)
-	udp := testbed.NewUDPFlow(n.Hosts[1], hosts[4].ID(), 7001, 7001, 1200)
+	sink := tppnet.NewSink(n.Hosts[4], 7001, tppnet.ProtoUDP)
+	udp := tppnet.NewUDPFlow(n.Hosts[1], hosts[4].ID(), 7001, 7001, 1200)
 	fl := sys.NewFlow(n.Hosts[1], hosts[4].ID(), udp)
 	if err := sys.Start(); err != nil {
 		t.Fatal(err)

@@ -1,18 +1,18 @@
 package testbed
 
 // This file is the scale-proof harness: fat-tree topologies far larger than
-// the paper's dumbbell, driven by many concurrent flows, with the simulator's
-// own performance (packets/sec, events/sec, ns per packet-hop, allocations
-// per packet-hop) measured alongside the network's behavior. It exists to
-// seed and track the repository's perf trajectory: BenchmarkScaleFatTree,
-// BenchmarkEndToEndHop and cmd/benchjson are thin wrappers over it.
+// the paper's dumbbell, driven by many concurrent flows. RunScaleFatTree is a
+// deterministic runner — it returns the network's counters and the heap
+// allocations of the measured window, never wall-clock time. Timing the same
+// runs is the job of bench/ (tppbench), the repository's one stopwatch; the
+// golden, determinism and zero-allocation tests in this package hold the
+// counters.
 
 import (
 	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"minions/internal/link"
 	"minions/telemetry"
@@ -21,28 +21,30 @@ import (
 	"minions/workload"
 )
 
+// The fabric and the default traffic are fixed: 1 Gb/s links, and per flow
+// 20 Mb/s of CBR in 1400-byte packets — room under the 1514-byte MTU for the
+// telemetry TPP; a full 1500-byte frame would be sent uninstrumented (§8 MTU
+// issues).
+const (
+	scaleLinkMbps = 1000
+	scaleFlowMbps = 20
+	scalePktSize  = 1400
+)
+
 // ScaleConfig parameterizes a fat-tree scale run.
 type ScaleConfig struct {
-	K            int   // fat-tree arity, even (default 4)
-	RateMbps     int   // link rate (default 1000)
-	Flows        int   // concurrent CBR flows (default 128)
-	FlowRateMbps int   // per-flow sending rate (default 20)
-	PktSize      int   // wire bytes per packet (default 1400: TPP headroom under the MTU)
-	Duration     Time  // measured simulated time (default 100 ms)
-	Warmup       Time  // simulated warmup before measuring (default 20 ms)
-	Seed         int64 // default 1
-	WithTPP      bool  // attach a 2-word/hop telemetry TPP to every data packet
-	Shards       int   // topology shards simulated in parallel (default 1)
-	// Faults optionally arms a deterministic fault plan on the fat-tree
-	// (see tppnet.WithFaults). Nil keeps the hot path fault-free: the
-	// forwarding cost of an unarmed network is a single nil check, a
-	// contract cmd/benchjson's fat-tree-faults scenario pins.
-	Faults *tppnet.FaultPlan
+	K        int   // fat-tree arity, even (default 4)
+	Flows    int   // concurrent CBR flows (default 128)
+	Duration Time  // measured simulated time (default 100 ms)
+	Warmup   Time  // simulated warmup before measuring (default 20 ms)
+	Seed     int64 // default 1
+	WithTPP  bool  // attach a 2-word/hop telemetry TPP to every data packet
+	Shards   int   // topology shards simulated in parallel (default 1)
 	// Workload, when non-nil, replaces the default uniform-random CBR
 	// flows: the Spec is compiled onto the fat-tree's hosts (pod-major
-	// order — the order FatTree returns them) and Flows/FlowRateMbps are
-	// ignored. A zero Spec.Seed inherits cfg.Seed. With WithTPP, every
-	// UDP packet is instrumented (workload groups use several ports).
+	// order — the order FatTree returns them) and Flows is ignored. A
+	// zero Spec.Seed inherits cfg.Seed. With WithTPP, every UDP packet is
+	// instrumented (workload groups use several ports).
 	// The runner's deterministic counters land in
 	// ScaleResult.WorkloadFingerprint.
 	Workload *workload.Spec
@@ -53,7 +55,7 @@ type ScaleConfig struct {
 	// single-goroutine and aggregators run on shard goroutines. The
 	// pipeline is flushed once after the measured window; inline flushes
 	// triggered by a full spool under the Block policy land inside the
-	// window and are measured, which is the honest number.
+	// window, so their allocations are counted.
 	Export *telemetry.Pipeline
 }
 
@@ -71,23 +73,16 @@ type ScaleResult struct {
 	Drops         uint64 // drop-tail losses
 	TPPHopRecords uint64 // per-hop telemetry records collected (WithTPP)
 
-	Wall     time.Duration // wall-clock time of the measured window
-	Mallocs  uint64        // heap allocations during the window
-	PoolGets uint64        // packet-pool draws during the window
-	PoolNews uint64        // pool draws that had to allocate
+	Mallocs uint64 // heap allocations during the window
 
-	// Sharded-sync diagnostics for the measured window (all zero at one
+	// Sharded-sync counters for the measured window (both zero at one
 	// shard). SyncPoints — group-wide synchronization points entered — and
 	// SyncCrossings — shard-crossing deliveries drained — are deterministic
-	// for a given (seed, shards); they are how shard overhead is diagnosed
-	// from committed JSON instead of noisy wall-clock. SyncDrains
-	// (non-empty mailbox sweeps) and SyncIdleMax (largest per-shard count
-	// of idle-wait quanta) depend on goroutine interleaving when shards run
-	// in parallel.
+	// for a given (seed, shards). (The counters that move with goroutine
+	// interleaving — mailbox sweeps, idle parks — are tppbench's
+	// sim.shard_* rows.)
 	SyncPoints    uint64
 	SyncCrossings uint64
-	SyncDrains    uint64
-	SyncIdleMax   uint64
 
 	// WorkloadFingerprint is the workload.Runner's deterministic counter
 	// line when ScaleConfig.Workload drove the run (empty otherwise) —
@@ -95,26 +90,8 @@ type ScaleResult struct {
 	WorkloadFingerprint string
 }
 
-// PktHopsPerSec returns simulated packet-hops processed per wall-clock second.
-func (r *ScaleResult) PktHopsPerSec() float64 {
-	return float64(r.PktHops) / r.Wall.Seconds()
-}
-
-// EventsPerSec returns engine events processed per wall-clock second.
-func (r *ScaleResult) EventsPerSec() float64 {
-	return float64(r.Events) / r.Wall.Seconds()
-}
-
-// NsPerPktHop returns wall-clock nanoseconds per simulated packet-hop.
-func (r *ScaleResult) NsPerPktHop() float64 {
-	if r.PktHops == 0 {
-		return 0
-	}
-	return float64(r.Wall.Nanoseconds()) / float64(r.PktHops)
-}
-
 // AllocsPerPktHop returns heap allocations per packet-hop in the measured
-// window — the number this PR drives to ~0.
+// window: 0 in single-shard steady state (TestScaleRunsZeroAllocs).
 func (r *ScaleResult) AllocsPerPktHop() float64 {
 	if r.PktHops == 0 {
 		return 0
@@ -127,14 +104,11 @@ func (r *ScaleResult) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "fat-tree k=%d (%d shards): %d hosts, %d switches, %d links, %d flows, TPP records %d\n",
 		r.K, r.Shards, r.Hosts, r.Switches, r.Links, r.Flows, r.TPPHopRecords)
-	fmt.Fprintf(&b, "simulated %.0f ms: %d pkt-hops, %d delivered (%.1f MB), %d drops, %d events\n",
-		r.SimDuration.Seconds()*1e3, r.PktHops, r.Delivered, r.DeliveredMB, r.Drops, r.Events)
-	fmt.Fprintf(&b, "wall %.1f ms: %.2fM pkt-hops/s, %.2fM events/s, %.0f ns/pkt-hop, %.4f allocs/pkt-hop\n",
-		float64(r.Wall.Microseconds())/1e3, r.PktHopsPerSec()/1e6, r.EventsPerSec()/1e6,
-		r.NsPerPktHop(), r.AllocsPerPktHop())
+	fmt.Fprintf(&b, "simulated %.0f ms: %d pkt-hops, %d delivered (%.1f MB), %d drops, %d events, %d allocs (%.4f/pkt-hop)\n",
+		r.SimDuration.Seconds()*1e3, r.PktHops, r.Delivered, r.DeliveredMB, r.Drops, r.Events,
+		r.Mallocs, r.AllocsPerPktHop())
 	if r.Shards > 1 {
-		fmt.Fprintf(&b, "sync: %d sync points, %d crossings, %d drains, max idle waits %d\n",
-			r.SyncPoints, r.SyncCrossings, r.SyncDrains, r.SyncIdleMax)
+		fmt.Fprintf(&b, "sync: %d sync points, %d crossings\n", r.SyncPoints, r.SyncCrossings)
 	}
 	return b.String()
 }
@@ -150,8 +124,9 @@ func scaleTelemetryProgram(hops int) (*tpp.Program, error) {
 }
 
 // RunScaleFatTree builds a k-ary fat-tree, drives it with cfg.Flows
-// concurrent CBR flows (optionally TPP-instrumented), and measures both the
-// network and the simulator over cfg.Duration of virtual time.
+// concurrent CBR flows (optionally TPP-instrumented), and counts what the
+// network did — and what the simulator allocated — over cfg.Duration of
+// virtual time.
 func RunScaleFatTree(cfg ScaleConfig) (*ScaleResult, error) {
 	if cfg.K == 0 {
 		cfg.K = 4
@@ -159,19 +134,8 @@ func RunScaleFatTree(cfg ScaleConfig) (*ScaleResult, error) {
 	if cfg.K%2 != 0 {
 		return nil, fmt.Errorf("testbed: fat-tree arity %d must be even", cfg.K)
 	}
-	if cfg.RateMbps == 0 {
-		cfg.RateMbps = 1000
-	}
 	if cfg.Flows == 0 {
 		cfg.Flows = 128
-	}
-	if cfg.FlowRateMbps == 0 {
-		cfg.FlowRateMbps = 20
-	}
-	if cfg.PktSize == 0 {
-		// Leave room under the 1514-byte MTU for the telemetry TPP; a full
-		// 1500-byte frame would be sent uninstrumented (§8 MTU issues).
-		cfg.PktSize = 1400
 	}
 	if cfg.Duration == 0 {
 		cfg.Duration = 100 * Millisecond
@@ -200,8 +164,8 @@ func RunScaleFatTree(cfg ScaleConfig) (*ScaleResult, error) {
 		}
 	}
 
-	net := NewNet(SimOpts{Seed: cfg.Seed, Shards: cfg.Shards, Faults: cfg.Faults})
-	pods := net.FatTree(cfg.K, cfg.RateMbps)
+	net := NewNet(SimOpts{Seed: cfg.Seed, Shards: cfg.Shards})
+	pods := net.FatTree(cfg.K, scaleLinkMbps)
 	var hosts []*Host
 	for _, pod := range pods {
 		hosts = append(hosts, pod...)
@@ -277,8 +241,8 @@ func RunScaleFatTree(cfg ScaleConfig) (*ScaleResult, error) {
 	// fingerprint is not reported (the golden ScaleResult counters cover it).
 	spec := workload.UniformRandom(workload.UniformRandomConfig{
 		Flows:   cfg.Flows,
-		RateBps: int64(cfg.FlowRateMbps) * 1_000_000,
-		PktSize: cfg.PktSize,
+		RateBps: scaleFlowMbps * 1_000_000,
+		PktSize: scalePktSize,
 		DstPort: dstPort,
 		Seed:    cfg.Seed,
 	})
@@ -311,7 +275,6 @@ func RunScaleFatTree(cfg ScaleConfig) (*ScaleResult, error) {
 		sinkPktsBefore += s.Packets
 		sinkBytesBefore += s.Bytes
 	}
-	getsBefore, _, newsBefore := net.PoolStats()
 	// The aggregator accumulates from time zero; baseline it so
 	// TPPHopRecords covers the measured window like every other counter.
 	hopRecordsBefore := hopRecords.Load()
@@ -322,9 +285,7 @@ func RunScaleFatTree(cfg ScaleConfig) (*ScaleResult, error) {
 
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	t0 := time.Now()
 	res.Events = net.RunFor(cfg.Duration)
-	res.Wall = time.Since(t0)
 	runtime.ReadMemStats(&m1)
 
 	txAfter, dropAfter := linkTotals(net.Links())
@@ -338,15 +299,10 @@ func RunScaleFatTree(cfg ScaleConfig) (*ScaleResult, error) {
 	res.DeliveredMB = (res.DeliveredMB - float64(sinkBytesBefore)) / 1e6
 	res.TPPHopRecords = hopRecords.Load() - hopRecordsBefore
 	res.Mallocs = m1.Mallocs - m0.Mallocs
-	getsAfter, _, newsAfter := net.PoolStats()
-	res.PoolGets = getsAfter - getsBefore
-	res.PoolNews = newsAfter - newsBefore
 	if g := net.Group(); g != nil {
 		s := g.Stats()
 		res.SyncPoints = s.Epochs - syncBefore.Epochs
 		res.SyncCrossings = s.Crossings - syncBefore.Crossings
-		res.SyncDrains = s.Drains - syncBefore.Drains
-		res.SyncIdleMax = s.MaxIdleParks
 	}
 	if cfg.Workload != nil {
 		res.WorkloadFingerprint = wr.Fingerprint()
@@ -390,10 +346,10 @@ type E2EHarness struct {
 // telemetry program on the send path and a non-copying aggregator on the
 // receive path.
 func NewE2EHarness(withTPP bool) (*E2EHarness, error) {
-	net := New(1)
+	net := NewNet(SimOpts{Seed: 1})
 	sw := net.AddSwitch(2)
 	src, dst := net.AddHost(), net.AddHost()
-	cfg := HostLink(10_000)
+	cfg := tppnet.HostLink(10_000)
 	net.Connect(src, sw, cfg)
 	net.Connect(dst, sw, cfg)
 	net.ComputeRoutes()
@@ -412,7 +368,7 @@ func NewE2EHarness(withTPP bool) (*E2EHarness, error) {
 			e.HopRecords += uint64(view.HopOrSP()) / 2
 		})
 	}
-	e.Sink = NewSink(dst, 9000, tppnet.ProtoUDP)
+	e.Sink = tppnet.NewSink(dst, 9000, tppnet.ProtoUDP)
 	return e, nil
 }
 

@@ -9,10 +9,12 @@ package testbed
 import (
 	"fmt"
 	"testing"
+
+	"minions/tppnet"
 )
 
 // scaleFingerprint renders every simulated-behavior field of a ScaleResult.
-// Wall-clock and allocation fields are excluded, and so is Events: engine
+// The allocation count is excluded, and so is Events: engine
 // events are a host-cost proxy, and boundary links run one more per packet
 // than ordinary links (see internal/link), so the count moves with shards.
 func scaleFingerprint(r *ScaleResult) string {
@@ -62,7 +64,7 @@ func TestShardDeterminismFig1(t *testing.T) {
 func TestShardDeterminismFig2(t *testing.T) {
 	var base string
 	for _, shards := range []int{1, 2, 4} {
-		r, err := RunFig2With(2*Second, SimOpts{Seed: 1, Shards: shards})
+		r, err := RunFig2(2*Second, SimOpts{Seed: 1, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +80,7 @@ func TestShardDeterminismFig2(t *testing.T) {
 func TestShardDeterminismFig4(t *testing.T) {
 	var base string
 	for _, shards := range []int{1, 2, 4} {
-		r, err := RunFig4With(2*Second, SimOpts{Seed: 1, Shards: shards})
+		r, err := RunFig4(2*Second, SimOpts{Seed: 1, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,8 +104,8 @@ func TestShardDeterminismTCP(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			dst := hosts[3+i]
 			dport := uint16(30000 + i)
-			NewTCPSink(dst, dport, 2)
-			f := NewTCPFlow(hosts[i], dst.ID(), uint16(20000+i), dport, 1440)
+			tppnet.NewTCPSink(dst, dport, 2)
+			f := tppnet.NewTCPFlow(hosts[i], dst.ID(), uint16(20000+i), dport, 1440)
 			f.Start()
 			flows = append(flows, f)
 		}

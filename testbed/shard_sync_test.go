@@ -3,8 +3,8 @@ package testbed
 // Sync-counter guards for the sharded engine: a measured window is one
 // group-wide synchronization point however large the fabric, and the
 // deterministic counters reproduce run to run — what makes shard overhead
-// diagnosable from committed JSON without trusting wall-clock on a 1-CPU
-// box. (That the asynchronous runtime simulates what a global-epoch barrier
+// diagnosable from counts, without trusting wall-clock on a 1-CPU box.
+// (That the asynchronous runtime simulates what a global-epoch barrier
 // loop does, in far fewer sync points, is pinned against the oracle in
 // internal/sim: TestShardSyncEquivalence, TestShardGroupSyncStats.)
 
@@ -34,9 +34,9 @@ func TestSyncPointReduction(t *testing.T) {
 }
 
 // TestSyncCountersDeterministic pins run-to-run reproducibility of the
-// deterministic counter subset (sync points, crossings) — the
-// committed-JSON diagnosability contract. Drains and idle waits may move
-// with goroutine scheduling and are deliberately excluded.
+// deterministic counter subset (sync points, crossings). Drains and idle
+// waits move with goroutine scheduling; ScaleResult does not carry them
+// (tppbench reports them as sim.shard_* rows).
 func TestSyncCountersDeterministic(t *testing.T) {
 	var points, crossings uint64
 	for i := 0; i < 3; i++ {

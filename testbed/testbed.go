@@ -7,7 +7,7 @@
 // The network substrate itself (hosts, switches, links, topologies) lives
 // in package tppnet and the applications in apps/*; the aliases here exist
 // so experiment code needs only one import. Runners take the substrate
-// options they share as a single SimOpts struct (RunFig2With, RunFig4With).
+// options they share as a single SimOpts struct (RunFig2, RunFig4).
 package testbed
 
 import "minions/tppnet"
@@ -76,50 +76,3 @@ func NewNet(o SimOpts) *Network {
 		tppnet.WithFaults(o.Faults),
 	)
 }
-
-// New creates an empty single-shard network with a deterministic engine
-// seeded with seed.
-func New(seed int64) *Network { return NewNet(SimOpts{Seed: seed}) }
-
-// HostLink returns a standard link config at the given rate.
-func HostLink(rateMbps int) LinkConfig { return tppnet.HostLink(rateMbps) }
-
-// Topology builders for the paper's experiments, as free functions over a
-// Network (the facade also offers them as methods).
-
-// Dumbbell builds the Figure 1 topology.
-func Dumbbell(n *Network, hosts, rateMbps int) ([]*Host, *Switch, *Switch) {
-	return n.Dumbbell(hosts, rateMbps)
-}
-
-// Chain builds the Figure 2 two-bottleneck topology.
-func Chain(n *Network, rateMbps int) ([]*Host, []*Switch) {
-	return n.Chain(rateMbps)
-}
-
-// Conga builds the Figure 4 leaf-spine topology.
-func Conga(n *Network, rateMbps int) (hosts []*Host, leaves, spines []*Switch) {
-	return n.LeafSpine(rateMbps)
-}
-
-// FatTree builds a k-ary fat-tree.
-func FatTree(n *Network, k, rateMbps int) [][]*Host {
-	return n.FatTree(k, rateMbps)
-}
-
-// FatTreeDims sizes a k-ary fat-tree analytically.
-var FatTreeDims = tppnet.FatTreeDims
-
-// Transport helpers, re-exported.
-var (
-	// NewUDPFlow creates a CBR sender.
-	NewUDPFlow = tppnet.NewUDPFlow
-	// NewTCPFlow creates a TCP-like sender.
-	NewTCPFlow = tppnet.NewTCPFlow
-	// NewTCPSink creates a TCP receiver.
-	NewTCPSink = tppnet.NewTCPSink
-	// NewSink creates a counting receiver.
-	NewSink = tppnet.NewSink
-	// SendBurst transmits a message as a back-to-back packet burst.
-	SendBurst = tppnet.SendBurst
-)

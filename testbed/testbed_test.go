@@ -5,13 +5,14 @@ import (
 
 	"minions/testbed"
 	"minions/tpp"
+	"minions/tppnet"
 )
 
 func TestPublicEndToEnd(t *testing.T) {
-	n := testbed.New(1)
+	n := testbed.NewNet(testbed.SimOpts{Seed: 1})
 	s1, s2 := n.AddSwitch(4), n.AddSwitch(4)
 	h1, h2 := n.AddHost(), n.AddHost()
-	cfg := testbed.HostLink(1000)
+	cfg := tppnet.HostLink(1000)
 	n.Connect(h1, s1, cfg)
 	n.Connect(h2, s2, cfg)
 	n.Connect(s1, s2, cfg)
@@ -39,10 +40,10 @@ func TestRunnersSmoke(t *testing.T) {
 	if _, err := testbed.RunFig1(testbed.Fig1Config{Duration: 200 * testbed.Millisecond}); err != nil {
 		t.Error(err)
 	}
-	if _, err := testbed.RunFig2(2*testbed.Second, 1); err != nil {
+	if _, err := testbed.RunFig2(2*testbed.Second, testbed.SimOpts{Seed: 1}); err != nil {
 		t.Error(err)
 	}
-	if _, err := testbed.RunFig4(2*testbed.Second, 1); err != nil {
+	if _, err := testbed.RunFig4(2*testbed.Second, testbed.SimOpts{Seed: 1}); err != nil {
 		t.Error(err)
 	}
 	if _, err := testbed.RunSec23(); err != nil {

@@ -4,9 +4,9 @@ package testbed
 // scriptable workloads of package minions/workload instead of the paper's
 // single all-to-all pattern — microburst detection under partition-
 // aggregate incast, RCP* fairness under heavy-tailed background load. The
-// canned specs here are shared by cmd/benchjson's -workload scenarios, the
-// determinism guard tests and CI's workload-smoke step, so every consumer
-// pins the same bytes.
+// canned specs here are shared by the zero-allocation table test
+// (TestScaleRunsZeroAllocs), the determinism guard tests and CI's
+// workload-smoke step, so every consumer pins the same bytes.
 
 import (
 	"fmt"
