@@ -158,10 +158,10 @@ type Deployment struct {
 	// Hops is the deployed per-TPP hop budget.
 	Hops int
 
-	closed     bool
-	violations app.Stream[Violation]
-	watching   bool
-	policies   []Policy
+	dropCancels []func()
+	violations  app.Stream[Violation]
+	watching    bool
+	policies    []Policy
 }
 
 // New creates a packet-history deployment; Attach installs it.
@@ -208,33 +208,27 @@ func (d *Deployment) Attach(n *tppnet.Network, cp *tppnet.ControlPlane) error {
 			return err
 		}
 	}
-	// §2.6 loss localization: switches mirror dropped DropNotify TPPs. The
-	// installed hook chains: packets that are not this deployment's (or
-	// arrive after Close) fall through to whatever collector was installed
-	// before Attach, so composed deployments all see their own drops and
-	// teardown in any order never severs another app's hook.
+	// §2.6 loss localization: switches mirror dropped DropNotify TPPs;
+	// this deployment keeps the ones carrying its own application ID.
 	wire := d.ID().Wire
 	for _, sw := range switches {
-		sw := sw
-		prev := sw.DropCollector
-		sw.DropCollector = func(p *tppnet.Packet, reason tppnet.DropReason) {
-			if d.closed || p.TPP == nil || p.TPP.AppID() != wire {
-				if prev != nil {
-					prev(p, reason)
-				}
-				return
+		id := sw.ID()
+		d.dropCancels = append(d.dropCancels, sw.DropNotifies().Subscribe(func(ev tppnet.DropEvent) {
+			if p := ev.Packet; p.TPP.AppID() == wire {
+				col.Add(historyFrom(0, p, p.TPP, true, id))
 			}
-			col.Add(historyFrom(0, p, p.TPP, true, sw.ID()))
-		}
+		}))
 	}
 	return nil
 }
 
-// Close deactivates the switch drop hooks (they become transparent
-// pass-throughs to the previously installed collectors), then releases the
+// Close cancels the switch drop-notify subscriptions, then releases the
 // app's filters, aggregators and control-plane state.
 func (d *Deployment) Close() error {
-	d.closed = true
+	for _, cancel := range d.dropCancels {
+		cancel()
+	}
+	d.dropCancels = nil
 	return d.Base.Close()
 }
 

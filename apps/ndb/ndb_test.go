@@ -4,9 +4,10 @@ import (
 	"testing"
 
 	"minions/apps/ndb"
-	"minions/internal/sim"
+	"minions/telemetry"
 	"minions/tppnet"
 	"minions/tppnet/app"
+	"minions/tppnet/faults"
 )
 
 func deploy(t *testing.T) (*tppnet.Network, *ndb.Deployment) {
@@ -70,44 +71,15 @@ func TestNdbQueriesBySwitch(t *testing.T) {
 
 func TestLossLocalization(t *testing.T) {
 	// Overflow the slow inter-switch queue and expect drop histories
-	// pinpointing the dropping switch: fast host links into a 10 Mb/s core.
-	n := tppnet.NewNetwork(tppnet.WithSeed(2))
-	left, right := n.AddSwitch(4), n.AddSwitch(4)
-	var hostsArr []*tppnet.Host
-	for i := 0; i < 4; i++ {
-		h := n.AddHost()
-		hostsArr = append(hostsArr, h)
-		if i < 2 {
-			n.Connect(h, left, tppnet.HostLink(1000))
-		} else {
-			n.Connect(h, right, tppnet.HostLink(1000))
-		}
-	}
-	n.Connect(left, right, tppnet.LinkConfig{
-		RateBps:    10_000_000,
-		Delay:      5 * tppnet.Microsecond,
-		QueueBytes: 20_000, // shallow core queue: bursts overflow here
-	})
-	n.ComputeRoutes()
-	d := ndb.New(ndb.Config{
-		Filter: tppnet.FilterSpec{Proto: tppnet.ProtoUDP},
-		Hosts:  hostsArr,
-	})
-	if err := d.Attach(n, nil); err != nil {
-		t.Fatal(err)
-	}
-	h0, h3 := n.Hosts[0], n.Hosts[3]
-	h3.Bind(8000, tppnet.ProtoUDP, func(p *tppnet.Packet) {})
-	// Paced bursts, each larger than the core queue: drops at the left
-	// switch, while the fast host NIC never overflows.
+	// pinpointing the dropping switch. Each burst is larger than the core
+	// queue: drops at the left switch, while the fast host NIC never
+	// overflows.
+	n, burst := overflowNet(t)
+	left := n.Switches[0]
+	d := attachNdb(t, n)
 	for b := 0; b < 10; b++ {
-		n.Eng.Schedule(tppnet.Time(b)*100*tppnet.Millisecond, sim.HandlerFunc(func() {
-			for i := 0; i < 50; i++ {
-				h0.Send(h0.NewPacket(h3.ID(), 1000, 8000, tppnet.ProtoUDP, 1300))
-			}
-		}), 0)
+		burst()
 	}
-	n.RunUntil(2 * tppnet.Second)
 	drops := d.Collector.Drops()
 	if len(drops) == 0 {
 		t.Fatal("no drop notifications collected")
@@ -195,43 +167,137 @@ func TestSampledDeploymentCollectsSubset(t *testing.T) {
 	}
 }
 
-// TestDropHookChainsAndSurvivesClose: the deployment's switch drop hook
-// must pass non-matching packets through to whatever collector was
-// installed before Attach, and Close must leave that chain intact (a
-// transparent pass-through), so composed apps tear down in any order.
-func TestDropHookChainsAndSurvivesClose(t *testing.T) {
-	n := tppnet.NewNetwork(tppnet.WithSeed(1))
-	hosts, _, _ := n.Dumbbell(4, 1000)
-	prior := 0
-	sw := n.Switches[0]
-	sw.DropCollector = func(p *tppnet.Packet, reason tppnet.DropReason) { prior++ }
-	d := ndb.New(ndb.Config{
-		Filter: tppnet.FilterSpec{Proto: tppnet.ProtoUDP},
-		Hosts:  hosts,
-	})
+// overflowNet is TestLossLocalization's topology — fast host links into a
+// shallow 10 Mb/s core — plus burst, which overflows the core queue at the
+// left switch and runs the network dry.
+func overflowNet(t *testing.T) (n *tppnet.Network, burst func()) {
+	t.Helper()
+	n = tppnet.NewNetwork(tppnet.WithSeed(2))
+	left, right := n.AddSwitch(4), n.AddSwitch(4)
+	for i := 0; i < 4; i++ {
+		sw := left
+		if i >= 2 {
+			sw = right
+		}
+		n.Connect(n.AddHost(), sw, tppnet.HostLink(1000))
+	}
+	n.Connect(left, right, tppnet.LinkConfig{RateBps: 10_000_000, Delay: 5 * tppnet.Microsecond, QueueBytes: 20_000})
+	n.ComputeRoutes()
+	h0, h3 := n.Hosts[0], n.Hosts[3]
+	h3.Bind(8000, tppnet.ProtoUDP, func(p *tppnet.Packet) {})
+	return n, func() {
+		for i := 0; i < 50; i++ {
+			h0.Send(h0.NewPacket(h3.ID(), 1000, 8000, tppnet.ProtoUDP, 1300))
+		}
+		n.Run()
+	}
+}
+
+func attachNdb(t *testing.T, n *tppnet.Network) *ndb.Deployment {
+	t.Helper()
+	d := ndb.New(ndb.Config{Filter: tppnet.FilterSpec{Proto: tppnet.ProtoUDP}})
 	if err := d.Attach(n, nil); err != nil {
 		t.Fatal(err)
 	}
-	if sw.DropCollector == nil {
-		t.Fatal("Attach did not install drop mirroring")
+	return d
+}
+
+func switchDrops(n *tppnet.Network) (total uint64) {
+	for _, sw := range n.Switches {
+		for r := tppnet.DropReason(0); r < 32; r++ { // Drops is 0 past the last reason
+			total += sw.Drops(r)
+		}
 	}
-	// A dropped packet with no TPP is not ndb's: the prior collector must
-	// still see it through the chain.
-	sw.DropCollector(&tppnet.Packet{}, 0)
-	if prior != 1 {
-		t.Fatalf("prior collector saw %d drops through the chain, want 1", prior)
+	return total
+}
+
+// TestDropHookChainsAndSurvivesClose: a subscriber that was on a switch's
+// DropNotifies before Attach keeps seeing every mirrored drop, during the
+// deployment and after its Close, and 100 further Attach/Close cycles
+// leave it seeing each drop exactly once while the closed deployments
+// collect nothing.
+func TestDropHookChainsAndSurvivesClose(t *testing.T) {
+	n, burst := overflowNet(t)
+	prior := 0
+	n.Switches[0].DropNotifies().Subscribe(func(tppnet.DropEvent) { prior++ })
+
+	d := attachNdb(t, n)
+	burst()
+	dropped := int(switchDrops(n))
+	if dropped == 0 || prior != dropped || len(d.Collector.Drops()) != dropped {
+		t.Fatalf("%d drops: prior subscriber saw %d, deployment collected %d", dropped, prior, len(d.Collector.Drops()))
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// After Close the hook is a transparent pass-through: everything —
-	// including packets that would have matched ndb — reaches the prior
-	// collector, and the closed deployment collects nothing.
-	sw.DropCollector(&tppnet.Packet{}, 0)
-	if prior != 2 {
-		t.Fatalf("prior collector saw %d drops after Close, want 2", prior)
+
+	// The mirror only clones DropNotify TPPs, so a live deployment has to
+	// instrument the traffic for the prior subscriber to have anything to see.
+	live := attachNdb(t, n)
+	var cycled []*ndb.Deployment
+	for i := 0; i < 100; i++ {
+		c := attachNdb(t, n)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cycled = append(cycled, c)
 	}
-	if got := d.Collector.Len(); got != 0 {
-		t.Errorf("closed deployment collected %d histories", got)
+	burst()
+	dropped2 := int(switchDrops(n)) - dropped
+	if dropped2 == 0 || prior != dropped+dropped2 {
+		t.Fatalf("after Close and 100 cycles: %d new drops, prior subscriber saw %d", dropped2, prior-dropped)
+	}
+	if got := len(live.Collector.Drops()); got != dropped2 {
+		t.Errorf("live deployment collected %d drops, want %d", got, dropped2)
+	}
+	if got := len(d.Collector.Drops()); got != dropped {
+		t.Errorf("closed deployment went from %d to %d drop histories", dropped, got)
+	}
+	for _, c := range cycled {
+		if c.Collector.Len() != 0 {
+			t.Fatalf("a closed deployment collected %d histories", c.Collector.Len())
+		}
+	}
+}
+
+// TestDropObserversCancelInInstallOrder composes two ExportDrops pipelines
+// and a deployment on one network and tears them down first-installed
+// first: each survivor must go on seeing every drop.
+func TestDropObserversCancelInInstallOrder(t *testing.T) {
+	n, burst := overflowNet(t)
+	var sinkA, sinkB telemetry.MemSink
+	newPipe := func(sink *telemetry.MemSink) *telemetry.Pipeline {
+		pipe := telemetry.NewPipeline(telemetry.Config{Spool: 1 << 12, Policy: telemetry.Block})
+		pipe.Attach(sink)
+		return pipe
+	}
+	pipeA, pipeB := newPipe(&sinkA), newPipe(&sinkB)
+	cancelA := faults.ExportDrops(n, pipeA)
+	cancelB := faults.ExportDrops(n, pipeB)
+	d := attachNdb(t, n)
+	seen := func() (a, b, hist int) {
+		pipeA.Flush()
+		pipeB.Flush()
+		return len(sinkA.Records), len(sinkB.Records), len(d.Collector.Drops())
+	}
+
+	burst()
+	all := int(switchDrops(n))
+	if a, b, hist := seen(); all == 0 || a != all || b != all || hist != all {
+		t.Fatalf("%d drops: pipelines saw %d and %d, deployment %d", all, a, b, hist)
+	}
+
+	cancelA()
+	burst()
+	all2 := int(switchDrops(n))
+	if a, b, hist := seen(); all2 == all || a != all || b != all2 || hist != all2 {
+		t.Fatalf("first pipeline cancelled, %d drops: pipelines saw %d (want %d) and %d, deployment %d", all2, a, all, b, hist)
+	}
+
+	cancelB()
+	burst()
+	all3 := int(switchDrops(n))
+	if a, b, hist := seen(); all3 == all2 || a != all || b != all2 || hist != all3 {
+		t.Fatalf("both pipelines cancelled, %d drops: pipelines saw %d (want %d) and %d (want %d), deployment %d", all3, a, all, b, all2, hist)
 	}
 }

@@ -9,12 +9,16 @@
 //     constants for constructing programs without string assembly, the
 //     pseudo-assembly assembler/disassembler (both forms encode to identical
 //     bytes), and the execution engine — a one-shot Exec plus the reusable,
-//     allocation-free Executor with batch execution for hot paths.
+//     allocation-free Executor for hot paths.
 //
 //   - minions/tppnet — the network facade: simulated TPP-capable switches
 //     and end hosts, links, the TPP-CP control plane, and the paper's
 //     topologies, created with functional options
 //     (tppnet.NewNetwork(tppnet.WithSeed(1)), net.Dumbbell(6, 100)).
+//     Drops, drop-notify mirrors, host transmits and executor give-ups are
+//     all observed the same way, as typed stream subscriptions
+//     (Switch.DropEvents/DropNotifies, Link.DropEvents, Host.Transmits,
+//     Host.ExecFailures) that compose and cancel in any order.
 //     tppnet.WithShards(n) runs the network as n topology shards under an
 //     asynchronous conservative parallel discrete-event scheme — per-channel
 //     lookahead, lock-free cross-shard mailboxes, persistent shard workers —
@@ -47,9 +51,9 @@
 //     allocation-free. Identical (topology, workload, plan) tuples replay
 //     byte-identically across runs and shard counts; the apps layer above
 //     is built to survive it (CONGA* dead-path reroute, RCP* missed-round
-//     rate decay, host executor retry with backoff), and
-//     faults.Export/ExportDrops make chaos runs observable through the
-//     telemetry layer below. testbed.RunChaos is the ready-made scenario.
+//     rate decay, host executor retry), and faults.Export/ExportDrops make
+//     chaos runs observable through the telemetry layer below.
+//     testbed.RunChaos is the ready-made scenario.
 //
 //   - minions/telemetry — the export layer: a bounded, allocation-free
 //     record pipeline (publisher → spool → sink) with NDJSON, UDP-datagram
@@ -57,7 +61,7 @@
 //     policies; telemetry.Export bridges any typed app.Stream into it, and
 //     each apps/* package ships a canonical record encoder. Its subpackage
 //     minions/telemetry/trace is the versioned binary packet-trace format:
-//     trace.Start taps every host transmit of a running simulation, and
+//     trace.Start subscribes to every host's Transmits stream, and
 //     trace.Replay re-injects a captured trace into a rebuilt topology with
 //     byte-identical results. cmd/tppdump decodes, filters and summarizes
 //     trace files.
@@ -82,11 +86,11 @@
 //     accepted by ScaleConfig/ChaosConfig, and workload-axis reruns of the
 //     paper apps (RunFig1Workload, RunRCPWorkload).
 //
-// The benchmarks in bench_test.go regenerate every table and figure; run
+// cmd/experiments regenerates every table and figure, paper-style; run
 //
-//	go test -bench=. -benchmem
+//	go run ./cmd/experiments -run all
 //
-// or use cmd/experiments for paper-style table output. EXPERIMENTS.md
+// (or -run <id> for one of them). EXPERIMENTS.md
 // records paper-vs-measured values per figure and table, plus the
 // performance, parallel-scaling, scheduler and application-layer notes of
 // later PRs.

@@ -6,13 +6,13 @@ import (
 	"minions/internal/mem"
 )
 
-// ExecContext is the pre-allocated scratch an Executor reuses across hops: a
+// execContext is the pre-allocated scratch an Executor reuses across hops: a
 // decoded-instruction cache keyed by the section's code region (header shape
 // plus instruction words). Packet memory and the hop counter mutate at every
 // hop, but the instructions of a TPP never do, so a switch that keeps seeing
 // the same program — the common case for an installed filter — decodes and
 // validates it exactly once.
-type ExecContext struct {
+type execContext struct {
 	insns [MaxInsns]Instruction // decoded-insn cache
 	words [MaxInsns]uint32      // raw words the cache was decoded from
 	// pushRun[i] is the length (>= 2) of the maximal run of consecutive
@@ -36,7 +36,7 @@ func packHdr(s Section) uint32 {
 }
 
 // match reports whether s decodes to exactly the cached instructions.
-func (c *ExecContext) match(s Section) bool {
+func (c *execContext) match(s Section) bool {
 	if !c.valid || len(s) < c.min || packHdr(s) != c.hdr {
 		return false
 	}
@@ -51,7 +51,7 @@ func (c *ExecContext) match(s Section) bool {
 
 // fill decodes s (already validated) into the cache and marks fusable PUSH
 // runs.
-func (c *ExecContext) fill(s Section) {
+func (c *execContext) fill(s Section) {
 	c.n = s.InsnCount()
 	for i := 0; i < c.n; i++ {
 		off := HeaderLen + i*InsnSize
@@ -79,30 +79,25 @@ func (c *ExecContext) fill(s Section) {
 	c.valid = true
 }
 
-// Reset invalidates the decoded-instruction cache.
-func (c *ExecContext) Reset() { c.valid = false }
-
 // Executor is a reusable TCPU: an execution environment plus a pre-allocated
-// ExecContext. Unlike the one-shot Exec convention, an Executor amortizes
-// section validation and instruction decoding across hops and allocates
-// nothing on the execute path, which is what lets a simulated switch forward
-// TPP traffic at line rate.
+// decoded-instruction cache. Unlike the one-shot Exec convention, an Executor
+// amortizes section validation and instruction decoding across hops and
+// allocates nothing on the execute path, which is what lets a simulated
+// switch forward TPP traffic at line rate.
 //
 // An Executor is not safe for concurrent use; give each switch (or worker)
 // its own.
 type Executor struct {
-	env    Env
-	ctx    ExecContext
+	env Env
+	ctx execContext
+	// noFuse turns the PUSH-run superinstruction off. Semantics are
+	// identical either way; only fusion_test.go sets it, to use the plain
+	// dispatch loop as the reference.
 	noFuse bool
 }
 
 // NewExecutor returns an Executor bound to env.
 func NewExecutor(env Env) *Executor { return &Executor{env: env} }
-
-// SetPushFusion toggles the PUSH-run superinstruction (on by default).
-// Semantics are identical either way; the switch exists so benchmarks can
-// measure the fused-vs-unfused dispatch cost on the same executor.
-func (e *Executor) SetPushFusion(on bool) { e.noFuse = !on }
 
 // Env returns the executor's environment for in-place adjustment (e.g.
 // repointing Mem between packets). Mutating it does not invalidate the
@@ -119,23 +114,6 @@ func (e *Executor) Exec(s Section) Result {
 		e.ctx.fill(s)
 	}
 	return e.run(s)
-}
-
-// ExecBatch runs one hop of every section in ss, appending one Result per
-// section to out (allocating only if out lacks capacity) and returning it.
-// Homogeneous batches — the same program carried by many packets, the shape
-// a switch's ingress queue actually has — hit the decoded-insn cache on
-// every section after the first.
-func (e *Executor) ExecBatch(ss []Section, out []Result) []Result {
-	if cap(out)-len(out) < len(ss) {
-		grown := make([]Result, len(out), len(out)+len(ss))
-		copy(grown, out)
-		out = grown
-	}
-	for _, s := range ss {
-		out = append(out, e.Exec(s))
-	}
-	return out
 }
 
 // effOff maps an instruction operand to an absolute packet-memory word.

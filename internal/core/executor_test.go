@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-	"time"
 
 	"minions/internal/mem"
 )
@@ -145,7 +144,7 @@ func TestExecutorRejectsBadSection(t *testing.T) {
 }
 
 // TestExecutorZeroAllocs is the acceptance bound: Executor.Exec on a cached
-// section allocates nothing, and neither does ExecBatch into a reused slice.
+// section allocates nothing.
 func TestExecutorZeroAllocs(t *testing.T) {
 	p := &Program{
 		Insns: []Instruction{
@@ -173,90 +172,6 @@ func TestExecutorZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("Executor.Exec allocates %.1f objects/op, want 0", allocs)
 	}
-
-	batch := make([]Section, 32)
-	for i := range batch {
-		batch[i] = s.Clone()
-	}
-	out := make([]Result, 0, len(batch))
-	if allocs := testing.AllocsPerRun(100, func() {
-		for _, b := range batch {
-			b.SetHopOrSP(0)
-		}
-		out = ex.ExecBatch(batch, out[:0])
-	}); allocs != 0 {
-		t.Errorf("Executor.ExecBatch allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// TestExecBatchBeatsOneShot is the wall-clock acceptance criterion: pushing
-// N sections through one ExecBatch must beat N independent one-shot Execs,
-// which pay validation and decode per hop.
-func TestExecBatchBeatsOneShot(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison")
-	}
-	p := &Program{
-		Insns: []Instruction{
-			{Op: OpPUSH, Addr: mem.SwSwitchID},
-			{Op: OpPUSH, Addr: mem.DynOutQueueBase + mem.QueueOccPackets},
-			{Op: OpPUSH, Addr: mem.SwClockLo},
-		},
-		Mode:     AddrStack,
-		MemWords: 15,
-	}
-	tmpl, err := p.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := MapMemory{
-		mem.SwSwitchID: 7,
-		mem.SwClockLo:  1234,
-		mem.DynOutQueueBase + mem.QueueOccPackets: 3,
-	}
-	const n = 256
-	batch := make([]Section, n)
-	for i := range batch {
-		batch[i] = tmpl.Clone()
-	}
-	reset := func() {
-		for _, s := range batch {
-			s.SetHopOrSP(0)
-		}
-	}
-
-	const rounds = 300
-	measure := func(f func()) time.Duration {
-		best := time.Duration(1<<62 - 1)
-		for r := 0; r < 5; r++ {
-			start := time.Now()
-			for i := 0; i < rounds; i++ {
-				f()
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-
-	env := Env{Mem: m}
-	oneShot := measure(func() {
-		reset()
-		for _, s := range batch {
-			Exec(s, &env)
-		}
-	})
-	ex := NewExecutor(env)
-	out := make([]Result, 0, n)
-	batched := measure(func() {
-		reset()
-		out = ex.ExecBatch(batch, out[:0])
-	})
-	t.Logf("one-shot %v, batched %v for %d sections x %d rounds", oneShot, batched, n, rounds)
-	if batched > oneShot {
-		t.Errorf("ExecBatch (%v) slower than N one-shot Execs (%v)", batched, oneShot)
-	}
 }
 
 // BenchmarkExec is the one-shot path: per-hop validate + decode.
@@ -279,26 +194,6 @@ func BenchmarkExecutorExec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.SetHopOrSP(0)
 		ex.Exec(s)
-	}
-}
-
-// BenchmarkExecutorExecBatch executes 64-section homogeneous batches; the
-// per-section metric is directly comparable to BenchmarkExec(utorExec).
-func BenchmarkExecutorExecBatch(b *testing.B) {
-	tmpl, m := benchSection(b)
-	batch := make([]Section, 64)
-	for i := range batch {
-		batch[i] = tmpl.Clone()
-	}
-	ex := NewExecutor(Env{Mem: m})
-	out := make([]Result, 0, len(batch))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(batch) {
-		for _, s := range batch {
-			s.SetHopOrSP(0)
-		}
-		out = ex.ExecBatch(batch, out[:0])
 	}
 }
 

@@ -26,7 +26,7 @@ func TestPushFusionEquivalence(t *testing.T) {
 		m1, m2 := randomEnv(rng)
 		fused := NewExecutor(Env{Mem: m1})
 		plain := NewExecutor(Env{Mem: m2})
-		plain.SetPushFusion(false)
+		plain.noFuse = true
 		for hop := 0; hop < 3; hop++ {
 			r1 := fused.Exec(s1)
 			r2 := plain.Exec(s2)
@@ -151,7 +151,7 @@ func BenchmarkExecutorPushRun(b *testing.B) {
 					rf.Set(a, v)
 				}
 				ex := NewExecutor(Env{Mem: rf})
-				ex.SetPushFusion(fused)
+				ex.noFuse = !fused
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -14,6 +14,7 @@ import (
 	"minions/internal/link"
 	"minions/internal/mem"
 	"minions/internal/sim"
+	"minions/internal/stream"
 )
 
 // Port is one switch port: an optional egress link plus receive-side
@@ -158,11 +159,8 @@ type Switch struct {
 	// outage, like a dataplane stall rather than a cold reboot.
 	halted bool
 
-	// OnDrop observes every locally dropped packet.
-	OnDrop func(p *link.Packet, reason DropReason)
-	// DropCollector, when set, receives clones of dropped TPP packets that
-	// set FlagDropNotify (§2.6 loss localization).
-	DropCollector func(p *link.Packet, reason DropReason)
+	dropEvents   stream.Stream[DropEvent]
+	dropNotifies stream.Stream[DropEvent]
 
 	drops [NumDropReasons]uint64
 
@@ -211,26 +209,18 @@ func (sw *Switch) Port(i int) *Port { return &sw.ports[i] }
 // NumPorts returns the port count.
 func (sw *Switch) NumPorts() int { return len(sw.ports) }
 
-// AttachLink connects port i to an egress link. The switch installs its
-// queue-drop accounting as the link's OnDrop observer; any observer already
-// installed is chained after it rather than clobbered, so instrumentation
-// attached before wiring keeps seeing drops.
+// AttachLink connects port i to an egress link and subscribes the switch's
+// queue-drop accounting to the link's DropEvents.
 func (sw *Switch) AttachLink(i int, l *link.Link, linkID uint32) {
 	if sw.ports[i].Out == l {
-		// Re-attaching the same link must not stack another queueDrop
-		// observer onto the chain (drops would double-count).
+		// Re-attaching the same link must not subscribe a second time
+		// (drops would double-count).
 		sw.ports[i].LinkID = linkID
 		return
 	}
 	sw.ports[i].Out = l
 	sw.ports[i].LinkID = linkID
-	prev := l.OnDrop
-	l.OnDrop = func(p *link.Packet, reason link.DropReason) {
-		sw.linkDrop(p, reason)
-		if prev != nil {
-			prev(p, reason)
-		}
-	}
+	l.DropEvents().Subscribe(sw.linkDrop)
 }
 
 // Engine returns the engine this switch schedules on; fault injectors use
@@ -418,48 +408,55 @@ func (sw *Switch) SetVendorReg(a mem.Addr, v uint32) {
 	sw.vendorMem[a] = v
 }
 
-// drop records a switch-local drop and notifies observers. The drop is
-// terminal: the packet returns to its pool afterwards, so observers must
-// Clone what they keep.
+// DropEvent is one packet a switch dropped, as published on DropEvents and
+// DropNotifies.
+type DropEvent struct {
+	Packet *link.Packet
+	Reason DropReason
+}
+
+// DropEvents is the stream of every packet the switch drops, locally or at
+// one of its egress links. The packet returns to its pool once the
+// subscribers have run, so subscribers must Clone what they keep.
+func (sw *Switch) DropEvents() *stream.Stream[DropEvent] { return &sw.dropEvents }
+
+// DropNotifies is the §2.6 loss-localization mirror: for every dropped TPP
+// packet that set FlagDropNotify it carries a truncated clone ("we can
+// overcome dropped packets by sending packets that will be dropped to a
+// collector"). The clone is detached from any packet pool and shared by
+// the subscribers, which may retain it but must not modify it.
+func (sw *Switch) DropNotifies() *stream.Stream[DropEvent] { return &sw.dropNotifies }
+
+// drop records a switch-local drop, publishes it, and returns the packet
+// to its pool.
 func (sw *Switch) drop(p *link.Packet, reason DropReason) {
-	sw.drops[reason]++
-	if sw.OnDrop != nil {
-		sw.OnDrop(p, reason)
-	}
-	sw.notifyDropCollector(p, reason)
+	sw.publishDrop(p, reason)
 	p.Release()
 }
 
 // linkDrop accounts losses the egress link reports (drop-tail, down links,
 // fault losses), mapping the link's reason into the switch's space. The
-// link owns the release — this observer must not touch the packet after
-// returning.
-func (sw *Switch) linkDrop(p *link.Packet, r link.DropReason) {
+// link owns the release.
+func (sw *Switch) linkDrop(ev link.DropEvent) {
 	reason := DropQueueFull
-	switch r {
+	switch ev.Reason {
 	case link.DropLinkDown:
 		reason = DropLinkDown
 	case link.DropFaultLoss:
 		reason = DropFaultLoss
 	}
-	sw.drops[reason]++
-	if sw.OnDrop != nil {
-		sw.OnDrop(p, reason)
-	}
-	sw.notifyDropCollector(p, reason)
+	sw.publishDrop(ev.Packet, reason)
 }
 
-func (sw *Switch) notifyDropCollector(p *link.Packet, reason DropReason) {
-	if sw.DropCollector == nil || p.TPP == nil || p.TPP.Flags()&core.FlagDropNotify == 0 {
+func (sw *Switch) publishDrop(p *link.Packet, reason DropReason) {
+	sw.drops[reason]++
+	sw.dropEvents.Publish(DropEvent{p, reason})
+	if p.TPP == nil || p.TPP.Flags()&core.FlagDropNotify == 0 || !sw.dropNotifies.HasSubscribers() {
 		return
 	}
-	// Mirror a truncated clone to the collector (§2.6: "we can overcome
-	// dropped packets by sending packets that will be dropped to a
-	// collector"). Clone detaches from any packet pool so the collector may
-	// retain it indefinitely.
 	clone := p.Clone()
 	clone.Payload = nil
-	sw.DropCollector(clone, reason)
+	sw.dropNotifies.Publish(DropEvent{clone, reason})
 }
 
 // Receive implements link.Receiver: the full ingress pipeline of Figure 6.

@@ -437,11 +437,11 @@ func TestDropNotification(t *testing.T) {
 	sw.AddRoute(200, 1)
 
 	var collected []*link.Packet
-	sw.DropCollector = func(p *link.Packet, reason DropReason) {
-		if reason == DropQueueFull {
-			collected = append(collected, p)
+	sw.DropNotifies().Subscribe(func(ev DropEvent) {
+		if ev.Reason == DropQueueFull {
+			collected = append(collected, ev.Packet)
 		}
-	}
+	})
 	prog := asm.MustAssemble(`
 		.flags dropnotify
 		PUSH [Switch:SwitchID]
@@ -533,18 +533,24 @@ func TestVendorScratch(t *testing.T) {
 	}
 }
 
-// AttachLink must chain a previously installed OnDrop observer (not clobber
-// it) and must not stack its own accounting when re-attached.
+// AttachLink must leave a subscriber that was on the link's DropEvents before
+// wiring in place, must not subscribe its own accounting twice when
+// re-attached, and must republish the link's drops on the switch's stream.
 func TestAttachLinkChainsAndIsIdempotent(t *testing.T) {
 	eng := sim.New(1)
 	sw := New(eng, Config{ID: 1, NumPorts: 2, NodeID: 1001})
 	dst := &sink{eng: eng}
 	l := link.New(eng, link.Config{RateBps: 1_000_000, QueueBytes: 1000}, dst, 0)
 
-	observed := 0
-	l.OnDrop = func(p *link.Packet, reason link.DropReason) { observed++ } // pre-wiring instrumentation
+	observed, republished := 0, 0
+	l.DropEvents().Subscribe(func(link.DropEvent) { observed++ }) // pre-wiring instrumentation
+	sw.DropEvents().Subscribe(func(ev DropEvent) {
+		if ev.Reason == DropQueueFull {
+			republished++
+		}
+	})
 	sw.AttachLink(0, l, 1)
-	sw.AttachLink(0, l, 2) // re-attach: must not add another queueDrop layer
+	sw.AttachLink(0, l, 2) // re-attach: must not subscribe linkDrop again
 	if got := sw.Port(0).LinkID; got != 2 {
 		t.Fatalf("re-attach did not update LinkID: %d", got)
 	}
@@ -554,9 +560,12 @@ func TestAttachLinkChainsAndIsIdempotent(t *testing.T) {
 		l.Enqueue(&link.Packet{ID: uint64(i), Size: 1000})
 	}
 	if observed != 1 {
-		t.Errorf("chained observer saw %d drops, want 1", observed)
+		t.Errorf("pre-wiring subscriber saw %d drops, want 1", observed)
 	}
 	if got := sw.Drops(DropQueueFull); got != 1 {
-		t.Errorf("switch counted %d queue drops, want 1 (double-chained?)", got)
+		t.Errorf("switch counted %d queue drops, want 1 (subscribed twice?)", got)
+	}
+	if republished != 1 {
+		t.Errorf("switch DropEvents carried %d queue drops, want 1", republished)
 	}
 }

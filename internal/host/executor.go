@@ -8,6 +8,7 @@ import (
 	"minions/internal/link"
 	"minions/internal/mem"
 	"minions/internal/sim"
+	"minions/internal/stream"
 )
 
 // This file is the TPP Executor library of §4.4: reliable execution with
@@ -18,31 +19,41 @@ import (
 // ErrTimeout reports that every attempt of a reliable execution timed out.
 var ErrTimeout = errors.New("host: TPP execution timed out")
 
-// ExecOpts tunes the executor. Timeout and MaxAttempts are shorthands for
-// the corresponding RetryPolicy fields; Retry supplies the full policy
-// (backoff, cap, jitter). When both are set the shorthands win.
+// ExecOpts tunes the executor (§4.4 "Reliable execution": a fixed
+// per-attempt timeout and an attempt budget).
 type ExecOpts struct {
 	Timeout     sim.Time // per-attempt echo timeout (default 10 ms)
 	MaxAttempts int      // total attempts before giving up (default 3)
 	// PathTag is stamped on probe packets so multipath switches steer them
 	// onto a specific ECMP bucket (the §2.4 VLAN-tag trick).
 	PathTag uint16
-	// Retry is the full retry policy; zero-value fields fall back to the
-	// shorthands above, then to the policy defaults.
-	Retry RetryPolicy
 }
 
-// policy folds the shorthand fields into the retry policy.
-func (o ExecOpts) policy() RetryPolicy {
-	rp := o.Retry
-	if o.Timeout != 0 {
-		rp.Timeout = o.Timeout
+func (o ExecOpts) withDefaults() ExecOpts {
+	if o.Timeout == 0 {
+		o.Timeout = 10 * sim.Millisecond
 	}
-	if o.MaxAttempts != 0 {
-		rp.MaxAttempts = o.MaxAttempts
+	if o.MaxAttempts == 0 {
+		o.MaxAttempts = 3
 	}
-	return rp.withDefaults()
+	return o
 }
+
+// ExecFailure is the executor's give-up record: a reliable execution that
+// exhausted its retry budget. Hosts publish it on ExecFailures so
+// applications and chaos harnesses observe control-plane degradation as a
+// typed stream instead of scattered callbacks.
+type ExecFailure struct {
+	At       sim.Time
+	App      uint16 // wire application handle of the failed TPP
+	Dst      link.NodeID
+	Attempts int
+	Err      error
+}
+
+// ExecFailures is the host's stream of reliable executions that gave up
+// after exhausting their retries.
+func (h *Host) ExecFailures() *stream.Stream[ExecFailure] { return &h.execFailures }
 
 // standaloneOverhead is Ethernet+IPv4+UDP framing around a standalone TPP.
 const standaloneOverhead = 14 + 20 + 8
@@ -53,8 +64,7 @@ type pendingExec struct {
 	port     uint16
 	template core.Section
 	dst      link.NodeID
-	pathTag  uint16
-	policy   RetryPolicy
+	opts     ExecOpts
 	appWire  uint16
 	attempt  int
 	gen      int
@@ -96,13 +106,13 @@ func (pe *pendingExec) sendAttempt() {
 	copy(tpp, pe.template)
 	p.TPP = tpp
 	p.Standalone = true
-	p.PathTag = pe.pathTag
+	p.PathTag = pe.opts.PathTag
 	pe.h.sendRaw(p)
 	// The retry timer is a typed resident event carrying the attempt
 	// generation, not a closure: reliable executions are the warm path of
 	// every control loop (RCP rounds, CONGA probes), so their timers must
 	// not allocate per attempt.
-	pe.h.eng.ScheduleAfter(pe.policy.attemptTimeout(pe.attempt, pe.h.eng.Rand()), pe, uint64(pe.gen))
+	pe.h.eng.ScheduleAfter(pe.opts.Timeout, pe, uint64(pe.gen))
 }
 
 // Handle implements sim.Handler: the per-attempt echo timeout. A stale
@@ -111,13 +121,12 @@ func (pe *pendingExec) Handle(gen uint64) {
 	if pe.done || uint64(pe.gen) != gen {
 		return
 	}
-	if pe.attempt >= pe.policy.MaxAttempts {
+	if pe.attempt >= pe.opts.MaxAttempts {
 		pe.fail(fmt.Errorf("%w after %d attempts to %d", ErrTimeout, pe.attempt, pe.dst))
 		return
 	}
-	// §4.4 "Reliable execution": retry idempotent TPPs with the policy's
-	// backoff. (Stores are made idempotent by the caller conditioning on a
-	// read value.)
+	// §4.4 "Reliable execution": retry idempotent TPPs. (Stores are made
+	// idempotent by the caller conditioning on a read value.)
 	pe.sendAttempt()
 }
 
@@ -140,7 +149,7 @@ func (h *Host) ExecuteTPP(app *App, prog *core.Program, dst link.NodeID, opts Ex
 	pe := &pendingExec{
 		h: h, port: h.ephemeralPort(),
 		template: enc, dst: dst,
-		pathTag: opts.PathTag, policy: opts.policy(),
+		opts:    opts.withDefaults(),
 		appWire: app.Wire, cb: cb,
 	}
 	if h.pendingExec == nil {

@@ -101,17 +101,7 @@ type Host struct {
 	nextPktID uint64
 	stats     Stats
 
-	// PromiscTPP, when set, sees every executed TPP view delivered to this
-	// host regardless of application (used by collectors). For pooled
-	// traffic p and view are valid only during the call — copy to retain.
-	PromiscTPP func(p *link.Packet, view core.Section)
-
-	// txTap, when set, observes every packet leaving the host — instrumented
-	// sends, executor probes and standalone echoes alike — after the shim
-	// has stamped SentAt and just before NIC enqueue. The packet is owned by
-	// the network from the moment the tap returns; taps copy what they keep.
-	// Used by telemetry/trace capture.
-	txTap func(*link.Packet)
+	transmits stream.Stream[*link.Packet]
 
 	// execFailures publishes reliable executions that exhausted their
 	// retry budget (see ExecFailures).
@@ -338,19 +328,19 @@ func (h *Host) sendRaw(p *link.Packet) {
 	p.SentAt = h.eng.Now()
 	h.stats.TxPackets++
 	h.stats.TxBytes += uint64(p.Size)
-	if h.txTap != nil {
-		h.txTap(p)
-	}
+	h.transmits.Publish(p)
 	if h.nic != nil {
 		h.nic.Enqueue(p)
 	}
 }
 
-// SetTxTap installs (or, with nil, removes) the host's transmit tap. The tap
-// sits below the shim in sendRaw, so it sees exactly the packets the NIC
-// sees: filter-attached TPP traffic, the executor's standalone probes, and
-// echoes of probes from other hosts. One tap per host.
-func (h *Host) SetTxTap(fn func(*link.Packet)) { h.txTap = fn }
+// Transmits is the stream of every packet leaving the host, published below
+// the shim in sendRaw — after SentAt is stamped and just before NIC enqueue
+// — so subscribers see exactly the packets the NIC sees: filter-attached
+// TPP traffic, the executor's standalone probes, and echoes of probes from
+// other hosts. The network owns the packet once the subscribers have run;
+// they copy what they keep. Used by telemetry/trace capture.
+func (h *Host) Transmits() *stream.Stream[*link.Packet] { return &h.transmits }
 
 // Receive implements link.Receiver: the shim's receive path (§4.2).
 func (h *Host) Receive(p *link.Packet, port int) {
@@ -397,9 +387,6 @@ func (h *Host) Receive(p *link.Packet, port int) {
 
 // dispatchView routes an executed TPP to its consumer.
 func (h *Host) dispatchView(p *link.Packet, view core.Section) {
-	if h.PromiscTPP != nil {
-		h.PromiscTPP(p, view)
-	}
 	if pe, ok := h.pendingExec[p.Flow.DstPort]; ok && p.Standalone {
 		pe.complete(view)
 		return

@@ -67,8 +67,8 @@ type diffScript struct {
 }
 
 // diffHeader is the number of leading script bytes that pick the config.
-// The last one is spare; shrinking the header would re-decode every corpus
-// entry into a different script.
+// Byte 3 and the last one are spare; shrinking the header would re-decode
+// every corpus entry into a different script.
 const diffHeader = 7
 
 // decodeScript maps arbitrary bytes onto a script; every input is valid.
@@ -83,7 +83,6 @@ func decodeScript(data []byte) diffScript {
 			RateBps:    pick(hdr[0], 8_000_000_000, 1_000_000_000, 100_000_000, 1_000_000, 1<<60),
 			Delay:      sim.Time(pick(hdr[1], 0, 1, 7, 100, 5_000, 1_000_000)),
 			QueueBytes: int(pick(hdr[2], 64, 300, 1500, 4000, 0)),
-			UtilWindow: sim.Time(pick(hdr[3], 0, 50, 1000, 100_000)),
 		},
 	}
 	if hdr[4]%4 != 0 {
@@ -297,13 +296,13 @@ func runDiff(sc *diffScript, mk func(*sim.Engine, Config, Receiver, func(*Packet
 
 func mkLink(eng *sim.Engine, cfg Config, dst Receiver, onDrop func(*Packet, DropReason)) linkModel {
 	l := New(eng, cfg, dst, 5)
-	l.OnDrop = onDrop
+	l.DropEvents().Subscribe(func(ev DropEvent) { onDrop(ev.Packet, ev.Reason) })
 	return l
 }
 
 func mkOracle(eng *sim.Engine, cfg Config, dst Receiver, onDrop func(*Packet, DropReason)) linkModel {
 	l := newOracle(eng, cfg, dst, 5)
-	l.OnDrop = onDrop
+	l.onDrop = onDrop
 	return l
 }
 
@@ -402,12 +401,12 @@ func TestLinkDownMidSerialization(t *testing.T) {
 		pool := NewPool()
 		l := New(eng, Config{RateBps: 100_000_000, Delay: 10 * sim.Microsecond}, dst, 0)
 		var dropAt sim.Time = -1
-		l.OnDrop = func(p *Packet, reason DropReason) {
-			if reason != DropLinkDown {
-				t.Errorf("%s: drop reason %v", tc.name, reason)
+		l.DropEvents().Subscribe(func(ev DropEvent) {
+			if ev.Reason != DropLinkDown {
+				t.Errorf("%s: drop reason %v", tc.name, ev.Reason)
 			}
 			dropAt = eng.Now()
-		}
+		})
 		p := pool.Get()
 		p.Size = 1250
 		l.Enqueue(p)

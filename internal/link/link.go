@@ -11,6 +11,11 @@
 // through a Pool — see Pool's documentation for the ownership rules of who
 // returns a packet and when.
 //
+// Watching a link is a stream subscription: DropEvents publishes every
+// discarded packet with its reason, subscribers run in subscription order
+// and cancel in any order, and — because a drop is terminal — must Clone a
+// packet they keep past the callback.
+//
 // One event per idle-link hop. A FIFO link knows when a packet departs the
 // instant it starts serializing (lineFree = now + size/rate + stall), so
 // startTransmit books the delivery right away and the end-of-serialization
@@ -31,6 +36,7 @@ import (
 
 	"minions/internal/core"
 	"minions/internal/sim"
+	"minions/internal/stream"
 )
 
 // NodeID is a network-wide node (host or switch) identifier.
@@ -149,8 +155,11 @@ type Config struct {
 	RateBps    int64    // link capacity, bits per second
 	Delay      sim.Time // propagation delay
 	QueueBytes int      // output queue capacity in bytes (0 = default 150 kB)
-	UtilWindow sim.Time // utilization update interval (0 = 1 ms, the paper's)
 }
+
+// utilWindow is the utilization update interval (§2.2: "The network updates
+// link utilization counters every millisecond").
+const utilWindow = sim.Millisecond
 
 // DefaultQueueBytes is roughly 100 x 1500B packets, a typical shallow
 // datacenter switch queue per port.
@@ -246,21 +255,19 @@ type Link struct {
 	utilPm   uint32 // last completed window, in permille of capacity
 	arrPm    uint32 // last completed window's offered load, permille
 
-	// OnDrop, when set, observes every packet the link discards — queue
-	// rejections, down-link drops and fault losses (used for §2.6 drop
-	// notifications and loss localization). Drops are terminal: the packet
-	// is returned to its pool after the observer runs, so observers must
-	// Clone what they keep.
-	OnDrop func(p *Packet, reason DropReason)
+	drops stream.Stream[DropEvent]
+}
+
+// DropEvent is one packet a link discarded, as published on DropEvents.
+type DropEvent struct {
+	Packet *Packet
+	Reason DropReason
 }
 
 // New creates a link feeding packets to dst's port dstPort.
 func New(eng *sim.Engine, cfg Config, dst Receiver, dstPort int) *Link {
 	if cfg.QueueBytes == 0 {
 		cfg.QueueBytes = DefaultQueueBytes
-	}
-	if cfg.UtilWindow == 0 {
-		cfg.UtilWindow = sim.Millisecond
 	}
 	return &Link{eng: eng, cfg: cfg, dst: dst, dstPort: dstPort}
 }
@@ -312,14 +319,19 @@ func (l *Link) SetDown(down bool) {
 // hook.
 func (l *Link) SetTxFault(f TxFault) { l.fault = f }
 
-// drop is the terminal drop path: count the packet, notify the observer,
-// then return the packet to its pool. Observers must Clone to retain.
+// DropEvents is the stream of every packet the link discards — queue
+// rejections, down-link drops and fault losses (used for §2.6 drop
+// notifications and loss localization). Drops are terminal: the packet is
+// returned to its pool once the subscribers have run, so subscribers must
+// Clone what they keep.
+func (l *Link) DropEvents() *stream.Stream[DropEvent] { return &l.drops }
+
+// drop is the terminal drop path: count the packet, publish it on
+// DropEvents, then return the packet to its pool.
 func (l *Link) drop(p *Packet, reason DropReason) {
 	l.stats.DropBytes += uint64(p.Size)
 	l.stats.DropPackets++
-	if l.OnDrop != nil {
-		l.OnDrop(p, reason)
-	}
+	l.drops.Publish(DropEvent{p, reason})
 	p.Release()
 }
 
@@ -352,7 +364,7 @@ func (l *Link) QueueLenBytes() int { return l.queueBytes }
 func (l *Link) roll() {
 	now := l.eng.Now()
 	elapsed := now - l.winStart
-	if elapsed < l.cfg.UtilWindow {
+	if elapsed < utilWindow {
 		return
 	}
 	// Average over however many windows elapsed; long idle gaps decay the
@@ -395,8 +407,8 @@ func (l *Link) ArrivalUtilPermille() uint32 {
 
 // Enqueue offers a packet to the output queue. It returns false when the
 // packet was dropped — drop-tail or a down link — in which case the link
-// has already notified OnDrop and returned the packet to its pool: the
-// caller must not touch it again.
+// has already published it on DropEvents and returned the packet to its
+// pool: the caller must not touch it again.
 func (l *Link) Enqueue(p *Packet) bool {
 	if p.inPool {
 		panic("link: Enqueue of a packet already returned to its pool")

@@ -75,12 +75,12 @@ func TestLinkDropTail(t *testing.T) {
 	dst := &collector{eng: eng}
 	l := New(eng, Config{RateBps: 1_000_000, QueueBytes: 3000}, dst, 0)
 	var dropped []*Packet
-	l.OnDrop = func(p *Packet, reason DropReason) {
-		if reason != DropQueueFull {
-			t.Errorf("drop reason %v, want queue-full", reason)
+	l.DropEvents().Subscribe(func(ev DropEvent) {
+		if ev.Reason != DropQueueFull {
+			t.Errorf("drop reason %v, want queue-full", ev.Reason)
 		}
-		dropped = append(dropped, p)
-	}
+		dropped = append(dropped, ev.Packet)
+	})
 
 	// 1000-byte packets; first serializes immediately (leaves queue), then
 	// 3 fit in the 3000-byte queue, 5th drops.

@@ -30,7 +30,7 @@ type oracleLink struct {
 	utilPm   uint32
 	arrPm    uint32
 
-	OnDrop func(p *Packet, reason DropReason)
+	onDrop func(p *Packet, reason DropReason)
 }
 
 func newOracle(eng *sim.Engine, cfg Config, dst Receiver, dstPort int) *oracleLink {
@@ -65,8 +65,8 @@ func (l *oracleLink) SetDown(down bool) {
 func (l *oracleLink) drop(p *Packet, reason DropReason) {
 	l.stats.DropBytes += uint64(p.Size)
 	l.stats.DropPackets++
-	if l.OnDrop != nil {
-		l.OnDrop(p, reason)
+	if l.onDrop != nil {
+		l.onDrop(p, reason)
 	}
 	p.Release()
 }
@@ -74,7 +74,7 @@ func (l *oracleLink) drop(p *Packet, reason DropReason) {
 func (l *oracleLink) roll() {
 	now := l.eng.Now()
 	elapsed := now - l.winStart
-	if elapsed < l.cfg.UtilWindow {
+	if elapsed < utilWindow {
 		return
 	}
 	capacity := l.cfg.RateBps * int64(elapsed) / int64(sim.Second)

@@ -23,9 +23,12 @@ import "minions/internal/core"
 //     the host shim Releases standalone TPP echoes after dispatching their
 //     views, as well as deliveries no handler claimed.
 //   - Drops are terminal: every drop path (queue tail, down links, fault
-//     losses, halted switches) notifies its observer and then returns the
-//     packet to the pool. Observers that need the packet beyond the
-//     callback (§2.6 collectors, tracing) must Clone it. This makes
+//     losses, halted switches) publishes the packet on its DropEvents
+//     stream (Link.DropEvents, device.Switch.DropEvents) and then returns
+//     it to the pool. Subscribers that need the packet beyond the callback
+//     (tracing) must Clone it; Switch.DropNotifies (§2.6 collectors)
+//     already carries a clone. Host.Transmits subscribers run just before
+//     the NIC takes ownership and copy what they keep. This makes
 //     Outstanding()==0 after a drained run an enforceable leak invariant,
 //     which the fault plane's chaos tests rely on.
 //   - Receive callbacks that retain a packet beyond the callback must not

@@ -53,8 +53,6 @@ type Policy struct {
 	segments []Segment
 	// DenyAllWrites hard-disables STORE/CSTORE regardless of segments (§4.3).
 	denyAllWrites bool
-	// restrictReads, when true, requires a read segment for every read too.
-	restrictReads bool
 }
 
 // NewPolicy returns an empty policy (reads open, writes closed).
@@ -89,13 +87,6 @@ func (p *Policy) SetDenyAllWrites(v bool) {
 	p.denyAllWrites = v
 }
 
-// SetRestrictReads makes reads require an explicit grant as well.
-func (p *Policy) SetRestrictReads(v bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.restrictReads = v
-}
-
 // Allowed reports whether appID may perform op on address a.
 func (p *Policy) Allowed(appID uint64, op Op, a Addr) bool {
 	p.mu.RLock()
@@ -103,7 +94,7 @@ func (p *Policy) Allowed(appID uint64, op Op, a Addr) bool {
 	if op&OpWrite != 0 && p.denyAllWrites {
 		return false
 	}
-	if op&OpRead != 0 && !p.restrictReads && op&OpWrite == 0 {
+	if op&OpRead != 0 && op&OpWrite == 0 {
 		return true
 	}
 	for _, s := range p.segments {
@@ -112,16 +103,6 @@ func (p *Policy) Allowed(appID uint64, op Op, a Addr) bool {
 		}
 	}
 	return false
-}
-
-// AllowedRange reports whether the whole range [start, end) is permitted.
-func (p *Policy) AllowedRange(appID uint64, op Op, start, end Addr) bool {
-	for a := start; a < end; a++ {
-		if !p.Allowed(appID, op, a) {
-			return false
-		}
-	}
-	return true
 }
 
 // Segments returns a copy of the grant table, sorted for stable display.

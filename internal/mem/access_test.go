@@ -48,19 +48,6 @@ func TestPolicyDenyAllWritesOverridesGrants(t *testing.T) {
 	}
 }
 
-func TestPolicyRestrictReads(t *testing.T) {
-	p := NewPolicy()
-	p.SetRestrictReads(true)
-	a := MustResolve("Switch:SwitchID")
-	if p.Allowed(1, OpRead, a) {
-		t.Error("restricted reads require a segment")
-	}
-	p.Grant(Segment{AppID: 1, Op: OpRead, Start: 0, End: 0xFFFF})
-	if !p.Allowed(1, OpRead, a) {
-		t.Error("read grant not honored")
-	}
-}
-
 func TestPolicyRevoke(t *testing.T) {
 	p := NewPolicy()
 	a := DynOutLinkBase + LinkAppSpecific0
@@ -72,18 +59,6 @@ func TestPolicyRevoke(t *testing.T) {
 	}
 	if !p.Allowed(8, OpWrite, a) {
 		t.Error("revoke removed the wrong app")
-	}
-}
-
-func TestPolicyAllowedRange(t *testing.T) {
-	p := NewPolicy()
-	a := DynOutLinkBase + LinkAppSpecific0
-	p.Grant(Segment{AppID: 1, Op: OpWrite, Start: a, End: a + 2})
-	if !p.AllowedRange(1, OpWrite, a, a+2) {
-		t.Error("range within grant denied")
-	}
-	if p.AllowedRange(1, OpWrite, a, a+3) {
-		t.Error("range exceeding grant allowed")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package stats provides the small statistics toolkit the experiments use:
-// CDFs/fractiles (Figure 1's top panel), time series buckets (its bottom
-// panel), EWMAs, and throughput meters for Figure 2-style rate plots.
+// CDFs/fractiles (Figure 1's top panel) and time series buckets (its bottom
+// panel).
 package stats
 
 import (
@@ -157,88 +157,4 @@ func (ts *TimeSeries) Points() []Point {
 		})
 	}
 	return out
-}
-
-// EWMA is an exponentially weighted moving average.
-type EWMA struct {
-	Alpha float64
-	v     float64
-	init  bool
-}
-
-// Update folds in a sample and returns the new average.
-func (e *EWMA) Update(x float64) float64 {
-	if !e.init {
-		e.v = x
-		e.init = true
-		return x
-	}
-	e.v = e.Alpha*x + (1-e.Alpha)*e.v
-	return e.v
-}
-
-// Value returns the current average (0 before any update).
-func (e *EWMA) Value() float64 { return e.v }
-
-// Meter measures throughput: bytes accumulated between Rate() calls or over
-// fixed windows.
-type Meter struct {
-	bytes     int64
-	lastReset float64 // seconds
-}
-
-// Add accumulates n bytes.
-func (m *Meter) Add(n int) { m.bytes += int64(n) }
-
-// Bytes returns the bytes since the last reset.
-func (m *Meter) Bytes() int64 { return m.bytes }
-
-// RateMbps returns throughput in Mb/s over [lastReset, now] and resets.
-func (m *Meter) RateMbps(now float64) float64 {
-	dt := now - m.lastReset
-	if dt <= 0 {
-		return 0
-	}
-	r := float64(m.bytes) * 8 / dt / 1e6
-	m.bytes = 0
-	m.lastReset = now
-	return r
-}
-
-// Histogram counts integer-valued observations, for queue-length
-// distributions.
-type Histogram struct {
-	counts map[int]int
-	total  int
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{counts: make(map[int]int)} }
-
-// Add counts one observation of v.
-func (h *Histogram) Add(v int) { h.counts[v]++; h.total++ }
-
-// N returns the number of observations.
-func (h *Histogram) N() int { return h.total }
-
-// FractionAt returns the fraction of observations equal to v.
-func (h *Histogram) FractionAt(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[v]) / float64(h.total)
-}
-
-// FractionAtMost returns the fraction of observations <= v.
-func (h *Histogram) FractionAtMost(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	n := 0
-	for k, c := range h.counts {
-		if k <= v {
-			n += c
-		}
-	}
-	return float64(n) / float64(h.total)
 }

@@ -108,59 +108,6 @@ func TestTimeSeriesMaxTracksNegative(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := EWMA{Alpha: 0.5}
-	if got := e.Update(10); got != 10 {
-		t.Errorf("first update = %v", got)
-	}
-	if got := e.Update(0); got != 5 {
-		t.Errorf("second update = %v", got)
-	}
-	if got := e.Value(); got != 5 {
-		t.Errorf("value = %v", got)
-	}
-}
-
-func TestMeter(t *testing.T) {
-	var m Meter
-	m.Add(1_000_000) // 1 MB over 1s = 8 Mb/s
-	if got := m.RateMbps(1.0); math.Abs(got-8) > 1e-9 {
-		t.Errorf("rate = %v", got)
-	}
-	// Reset happened.
-	if m.Bytes() != 0 {
-		t.Error("meter did not reset")
-	}
-	m.Add(500_000)
-	if got := m.RateMbps(1.5); math.Abs(got-8) > 1e-9 {
-		t.Errorf("rate = %v", got)
-	}
-	if got := m.RateMbps(1.5); got != 0 {
-		t.Errorf("zero-interval rate = %v", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram()
-	for i := 0; i < 8; i++ {
-		h.Add(0)
-	}
-	h.Add(3)
-	h.Add(5)
-	if h.N() != 10 {
-		t.Errorf("N = %d", h.N())
-	}
-	if got := h.FractionAt(0); got != 0.8 {
-		t.Errorf("F(=0) = %v", got)
-	}
-	if got := h.FractionAtMost(3); got != 0.9 {
-		t.Errorf("F(<=3) = %v", got)
-	}
-	if got := h.FractionAtMost(5); got != 1.0 {
-		t.Errorf("F(<=5) = %v", got)
-	}
-}
-
 func TestFractilesString(t *testing.T) {
 	var c CDF
 	for i := 0; i < 10; i++ {

@@ -39,17 +39,23 @@ type subscription[T any] struct {
 }
 
 // Subscribe registers fn to observe every subsequent Publish and returns a
-// cancel function. Cancel is idempotent; cancelled subscribers stop
-// receiving immediately but their slot is retained (subscription order of
-// the remaining subscribers never changes mid-run).
+// cancel function. Cancel is idempotent and may be called in any order
+// relative to other subscribers' cancels: a cancelled subscriber stops
+// receiving immediately and the order of the remaining ones never changes.
+// Its slot is dropped by the next Subscribe's copy, so subscribe/cancel
+// cycles do not grow the list.
 func (s *Stream[T]) Subscribe(fn func(T)) (cancel func()) {
 	sub := &subscription[T]{fn: fn}
 	sub.active.Store(true)
 	s.mu.Lock()
 	var next []*subscription[T]
 	if cur := s.subs.Load(); cur != nil {
-		next = make([]*subscription[T], len(*cur), len(*cur)+1)
-		copy(next, *cur)
+		next = make([]*subscription[T], 0, len(*cur)+1)
+		for _, old := range *cur {
+			if old.active.Load() {
+				next = append(next, old)
+			}
+		}
 	}
 	next = append(next, sub)
 	s.subs.Store(&next)

@@ -10,21 +10,22 @@ import (
 )
 
 // Capture records every packet transmitted by a set of hosts into a trace
-// stream, via each host's TX tap. Captured sends include instrumented
-// application traffic, the executor's standalone probes and probe retries —
-// exactly the injected load. Echo transmissions (a destination bouncing a
-// finished standalone TPP home) are skipped by design: replay regenerates
-// them in-network, so recording them too would double-inject.
+// stream, by subscribing to each host's Transmits. Captured sends include
+// instrumented application traffic, the executor's standalone probes and
+// probe retries — exactly the injected load. Echo transmissions (a
+// destination bouncing a finished standalone TPP home) are skipped by
+// design: replay regenerates them in-network, so recording them too would
+// double-inject.
 //
-// Capture is for single-engine runs: taps from multiple shard goroutines
-// would interleave one writer. The testbed runners enforce that; Start
-// itself does not know the shard layout.
+// Capture is for single-engine runs: transmits from multiple shard
+// goroutines would interleave one writer. The testbed runners enforce that;
+// Start itself does not know the shard layout.
 type Capture struct {
-	w     *Writer
-	bw    *bufio.Writer
-	hosts []*host.Host
-	rec   Rec
-	err   error
+	w       *Writer
+	bw      *bufio.Writer
+	cancels []func()
+	rec     Rec
+	err     error
 
 	// Packets counts records written; EchoesSkipped counts the echo
 	// transmissions deliberately left out of the trace.
@@ -32,26 +33,26 @@ type Capture struct {
 	EchoesSkipped uint64
 }
 
-// Start writes the trace header to w and installs a TX tap on every host.
-// Writes are buffered; Close detaches the taps and flushes. Each host
-// supports one tap — starting a capture replaces any tap already set.
+// Start writes the trace header to w and subscribes to every host's
+// Transmits. Writes are buffered; Close cancels the subscriptions and
+// flushes. Captures compose: several may record the same host at once.
 func Start(w io.Writer, hosts ...*host.Host) (*Capture, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	tw, err := NewWriter(bw)
 	if err != nil {
 		return nil, err
 	}
-	c := &Capture{w: tw, bw: bw, hosts: hosts}
+	c := &Capture{w: tw, bw: bw}
 	for _, h := range hosts {
-		h.SetTxTap(c.tap)
+		c.cancels = append(c.cancels, h.Transmits().Subscribe(c.record))
 	}
 	return c, nil
 }
 
-// tap is the per-transmit hook: runs on the simulation goroutine, so it
-// copies fixed fields and the TPP bytes into the writer's reused buffer and
-// nothing else.
-func (c *Capture) tap(p *link.Packet) {
+// record is the per-transmit subscriber: runs on the simulation goroutine,
+// so it copies fixed fields and the TPP bytes into the writer's reused
+// buffer and nothing else.
+func (c *Capture) record(p *link.Packet) {
 	if c.err != nil {
 		return
 	}
@@ -84,14 +85,14 @@ func (c *Capture) tap(p *link.Packet) {
 	c.Packets++
 }
 
-// Close detaches every tap and flushes buffered records. The capture's
-// first write error, if any, is returned (the tap stops recording after
+// Close cancels every subscription and flushes buffered records. The
+// capture's first write error, if any, is returned (recording stops after
 // one, rather than emitting a corrupt stream).
 func (c *Capture) Close() error {
-	for _, h := range c.hosts {
-		h.SetTxTap(nil)
+	for _, cancel := range c.cancels {
+		cancel()
 	}
-	c.hosts = nil
+	c.cancels = nil
 	if c.err != nil {
 		return c.err
 	}

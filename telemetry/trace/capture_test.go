@@ -88,11 +88,54 @@ func TestCaptureDumbbell(t *testing.T) {
 		t.Fatalf("only %d instrumented packets captured, expected the whole flow", withTPP)
 	}
 
-	// The tap is detached: further traffic must not grow the trace.
+	// The subscriptions are cancelled: further traffic must not grow the trace.
 	n := cap.Packets
 	f.Start()
 	net.RunFor(5 * tppnet.Millisecond)
 	if cap.Packets != n {
 		t.Fatal("capture kept recording after Close")
+	}
+}
+
+// TestCapturesCompose: two captures on the same host both record every
+// transmit, and closing one leaves the other recording.
+func TestCapturesCompose(t *testing.T) {
+	net := tppnet.NewNetwork(tppnet.WithSeed(3))
+	hosts, _, _ := net.Dumbbell(2, 100)
+	src, dst := hosts[0], hosts[1]
+	tppnet.NewSink(dst, 9000, tppnet.ProtoUDP)
+
+	var bufA, bufB bytes.Buffer
+	capA, err := trace.Start(&bufA, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capB, err := trace.Start(&bufB, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			src.Send(src.NewPacket(dst.ID(), 9000, 9000, tppnet.ProtoUDP, 500))
+		}
+		net.Run()
+	}
+
+	send(7)
+	if capA.Packets != 7 || capB.Packets != 7 {
+		t.Fatalf("7 transmits: captures recorded %d and %d", capA.Packets, capB.Packets)
+	}
+	if err := capA.Close(); err != nil {
+		t.Fatal(err)
+	}
+	send(5)
+	if capA.Packets != 7 || capB.Packets != 12 {
+		t.Fatalf("first capture closed, 5 more transmits: captures recorded %d (want 7) and %d (want 12)", capA.Packets, capB.Packets)
+	}
+	if err := capB.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := bufA.Len(), bufB.Len(); a == 0 || b <= a {
+		t.Fatalf("trace sizes %d and %d bytes", a, b)
 	}
 }

@@ -36,16 +36,17 @@ const (
 	chaosRestore = 600 * Millisecond // horizon: everything healed
 )
 
+// chaosRecoveryEpochs bounds how many RCP* control periods (10 ms) after
+// the restore instant the aggregate rate may take to regain 90% of its
+// pre-fault baseline. Exceeding it is an error: the system failed to
+// recover.
+const chaosRecoveryEpochs = 60
+
 // ChaosConfig parameterizes RunChaos. The zero value is the standard
 // scenario: seed 1, single shard.
 type ChaosConfig struct {
 	Seed   int64
 	Shards int
-	// MaxRecoveryEpochs bounds how many RCP* control periods (10 ms) after
-	// the restore instant the aggregate rate may take to regain 90% of its
-	// pre-fault baseline (default 60). Exceeding it is an error: the system
-	// failed to recover.
-	MaxRecoveryEpochs int
 	// Workload optionally layers a background workload.Spec over the
 	// chaos scenario's control loops — how RCP*/CONGA* recovery behaves
 	// when the fabric also carries heavy-tailed or incast traffic. The
@@ -186,17 +187,14 @@ func findLink(n *Network, src, dst NodeID) int {
 // flow group (pod 1 → pod 2) through the chaosPlan fault schedule. It
 // returns an error if the system violates a resilience invariant: leaked
 // pool packets after the drain, or an RCP* aggregate that fails to regain
-// 90% of its pre-fault baseline within MaxRecoveryEpochs control epochs of
-// the restore instant.
+// 90% of its pre-fault baseline within chaosRecoveryEpochs control epochs
+// of the restore instant.
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
 	if cfg.Shards == 0 {
 		cfg.Shards = 1
-	}
-	if cfg.MaxRecoveryEpochs == 0 {
-		cfg.MaxRecoveryEpochs = 60
 	}
 
 	// Build the topology first: the plan needs link indices, so it is wired
@@ -316,7 +314,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	// baseline. Epoch 0 means the outage never cost 10%.
 	target := 0.9 * res.BaselineMbps
 	res.RecoveryEpochs = -1
-	for e := 0; e <= cfg.MaxRecoveryEpochs; e++ {
+	for e := 0; e <= chaosRecoveryEpochs; e++ {
 		if e > 0 {
 			events += net.RunUntil(chaosRestore + Time(e)*epoch)
 		}
@@ -368,7 +366,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	}
 	if res.RecoveryEpochs < 0 {
 		return res, fmt.Errorf("testbed: RCP* aggregate %.1f Mb/s never regained 90%% of the %.1f Mb/s baseline within %d epochs of restore",
-			agg(), res.BaselineMbps, cfg.MaxRecoveryEpochs)
+			agg(), res.BaselineMbps, chaosRecoveryEpochs)
 	}
 	return res, nil
 }

@@ -328,8 +328,7 @@ func linkTotals(links []*link.Link) (tx, drops uint64) {
 
 // E2EHarness drives the minimal forward path — host send → one switch hop
 // (with or without TPP execution) → delivery — one packet at a time. It is
-// the substrate of BenchmarkEndToEndHop and of the zero-allocation
-// steady-state assertion in the tests.
+// the substrate of the zero-allocation steady-state assertion in the tests.
 type E2EHarness struct {
 	Net  *Network
 	Src  *Host

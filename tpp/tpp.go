@@ -29,13 +29,12 @@
 //
 //	tpp.Exec(section, &tpp.Env{Mem: mySwitchView})
 //
-// Hot paths — a switch forwarding instrumented traffic, a batch processor
-// draining a queue — hold a reusable Executor instead, which caches the
-// decoded instructions and allocates nothing per executed hop:
+// Hot paths — a switch forwarding instrumented traffic — hold a reusable
+// Executor instead, which caches the decoded instructions and allocates
+// nothing per executed hop:
 //
 //	ex := tpp.NewExecutor(tpp.Env{Mem: mySwitchView})
-//	res := ex.Exec(section)                  // 0 allocs/op once cached
-//	results = ex.ExecBatch(batch, results[:0]) // amortized across a batch
+//	res := ex.Exec(section) // 0 allocs/op once cached
 //
 // The types here alias the implementation in internal/*; see package tppnet
 // for standing up simulated TPP-capable networks and package testbed for the
@@ -75,8 +74,6 @@ type (
 	// Executor is a reusable TCPU: it caches decoded instructions and
 	// allocates nothing per executed hop.
 	Executor = core.Executor
-	// ExecContext is the pre-allocated scratch inside an Executor.
-	ExecContext = core.ExecContext
 	// HaltReason says why execution stopped early.
 	HaltReason = core.HaltReason
 	// MapMemory is a map-backed SwitchMemory for tests and demos.

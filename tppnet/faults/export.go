@@ -34,37 +34,30 @@ func Export(inj *tppnet.FaultInjector, pipe *telemetry.Pipeline) (cancel func())
 // Val the packet size in bytes, Aux[0] the numeric tppnet.DropReason and
 // Note its name ("fault-loss", "switch-halted", ...), so collectors — and
 // cmd/tppdump -stats — can break losses down per reason without knowing
-// the enum. It chains onto any OnDrop hook already installed; cancel
-// restores the previous hooks.
+// the enum. It is one telemetry.Export per switch's DropEvents; cancel
+// ends them all.
 //
 // Like Export, use it on single-shard networks only: multi-shard runs drop
 // packets from every shard goroutine concurrently.
 func ExportDrops(n *tppnet.Network, pipe *telemetry.Pipeline) (cancel func()) {
-	prev := make([]func(p *tppnet.Packet, reason tppnet.DropReason), len(n.Switches))
+	cancels := make([]func(), len(n.Switches))
 	for i, sw := range n.Switches {
-		sw := sw
-		prev[i] = sw.OnDrop
-		chained := prev[i]
-		sw.OnDrop = func(p *tppnet.Packet, reason tppnet.DropReason) {
-			if pipe.Active() {
-				pipe.Publish(telemetry.Record{
-					At:   int64(n.Now()),
-					App:  "faults",
-					Kind: "drop",
-					Node: uint64(sw.NodeID()),
-					Val:  float64(p.Size),
-					Aux:  [3]uint64{uint64(reason), 0, 0},
-					Note: reason.String(),
-				})
+		node := uint64(sw.NodeID())
+		cancels[i] = telemetry.Export(sw.DropEvents(), pipe, func(ev tppnet.DropEvent) telemetry.Record {
+			return telemetry.Record{
+				At:   int64(n.Now()),
+				App:  "faults",
+				Kind: "drop",
+				Node: node,
+				Val:  float64(ev.Packet.Size),
+				Aux:  [3]uint64{uint64(ev.Reason), 0, 0},
+				Note: ev.Reason.String(),
 			}
-			if chained != nil {
-				chained(p, reason)
-			}
-		}
+		})
 	}
 	return func() {
-		for i, sw := range n.Switches {
-			sw.OnDrop = prev[i]
+		for _, c := range cancels {
+			c()
 		}
 	}
 }

@@ -18,6 +18,17 @@
 //
 // Everything is deterministic for a given seed: the simulation runs on a
 // virtual clock, so results are reproducible across machines.
+//
+// The packet path is observed one way, by subscribing to a typed stream
+// (tppnet/app.Stream): Switch.DropEvents carries every dropped packet and
+// its DropReason, Switch.DropNotifies the §2.6 clones of dropped
+// drop-notify TPPs, Link.DropEvents one link's discards, Host.Transmits
+// every packet a host puts on its NIC and Host.ExecFailures the reliable
+// executor's give-ups. Subscribers run in subscription order on the
+// simulation goroutine; each Subscribe returns its own cancel, and cancels
+// may come in any order. Except on DropNotifies, the packet goes back to
+// its pool (or on to the network) when the subscribers return: Clone what
+// you keep.
 package tppnet
 
 import (
@@ -55,7 +66,7 @@ type (
 	// Aggregator consumes fully executed TPPs for one application (§4.5);
 	// registered per host via Host.RegisterAggregator or app.Base.Aggregate.
 	Aggregator = host.Aggregator
-	// ExecOpts tunes reliable TPP execution (timeout, retries, path tag).
+	// ExecOpts tunes reliable TPP execution (timeout, attempts, path tag).
 	ExecOpts = host.ExecOpts
 	// GatherResult is one switch's outcome in a ScatterGather.
 	GatherResult = host.GatherResult
@@ -88,6 +99,9 @@ type (
 	Sink = transport.Sink
 	// DropReason classifies switch-local packet drops.
 	DropReason = device.DropReason
+	// DropEvent is one dropped packet and its reason, the element type of
+	// Switch.DropEvents and Switch.DropNotifies.
+	DropEvent = device.DropEvent
 	// LinkEnds names the transmitter and receiver of one unidirectional
 	// link (same indexing as Links(); see Network.LinkEndsOf).
 	LinkEnds = topo.LinkEnds
@@ -105,9 +119,6 @@ type (
 	// ExecFailure is the executor's give-up record, published on
 	// Host.ExecFailures when a reliable execution exhausts its retries.
 	ExecFailure = host.ExecFailure
-	// RetryPolicy shapes executor retries: timeout, attempts, exponential
-	// backoff and jitter (ExecOpts.Retry).
-	RetryPolicy = host.RetryPolicy
 )
 
 // Time units.

@@ -164,9 +164,8 @@ func TestDurDist(t *testing.T) {
 // nanosecond remainder accounting must not drift.
 func TestTokenBucketPrecision(t *testing.T) {
 	const rate = 7_777_777 // deliberately not divisible by 1e9
-	var b tokenBucket
-	b.setRate(rate, 24_000, 0)
-	b.bits = 0
+	b := tokenBucket{burstBits: 24_000}
+	b.setRate(rate, 0)
 	now := sim.Time(0)
 	var sent int64
 	const pkt = 12_000 // bits
@@ -186,8 +185,8 @@ func TestTokenBucketPrecision(t *testing.T) {
 }
 
 func TestTokenBucketIdleCap(t *testing.T) {
-	var b tokenBucket
-	b.setRate(1_000_000, 8000, 0)
+	b := tokenBucket{burstBits: 8000}
+	b.setRate(1_000_000, 0)
 	// A huge idle gap must cap at the burst size without overflow.
 	b.refill(sim.Time(math.MaxInt64 / 2))
 	if b.bits != 8000 {

@@ -113,7 +113,7 @@ func compileIncast(g *Group, gr *groupRun, hosts []*host.Host, seed int64, r *Ru
 	}
 	respPort := reqPort + 1
 
-	_, grpIdx, err := resolve(hosts, g.Hosts)
+	workers, grpIdx, err := resolve(hosts, g.Hosts)
 	if err != nil {
 		return errorf("Hosts: %v", err)
 	}
@@ -124,14 +124,6 @@ func compileIncast(g *Group, gr *groupRun, hosts []*host.Host, seed int64, r *Ru
 	aggs, _, err := resolve(hosts, aggIdx)
 	if err != nil {
 		return errorf("Aggregators: %v", err)
-	}
-	workerIdx := in.Workers
-	if workerIdx == nil {
-		workerIdx = grpIdx
-	}
-	workers, _, err := resolve(hosts, workerIdx)
-	if err != nil {
-		return errorf("Workers: %v", err)
 	}
 	stopAt := stopOf(g)
 

@@ -9,11 +9,10 @@ import (
 	"minions/internal/transport"
 )
 
-// msgClass is a compiled Class: the sampler plus pacing parameters.
+// msgClass is a compiled Class: the sampler plus its pacing rate.
 type msgClass struct {
-	sizes     SizeDist
-	rateBps   int64
-	burstBits int64
+	sizes   SizeDist
+	rateBps int64
 }
 
 // pendMsg is one paced message waiting for its token bucket.
@@ -50,6 +49,10 @@ func (r *pendRing) pop() (pendMsg, bool) {
 	return m, true
 }
 
+// bucketPkts is the depth of a paced source's token bucket, in full-size
+// packets.
+const bucketPkts = 2
+
 // tokenBucket is a precise rate pacer in wire bits with nanosecond
 // remainder accounting: refills carry the sub-bit remainder forward, so
 // long-run throughput is exactly rateBps with no drift.
@@ -61,14 +64,9 @@ type tokenBucket struct {
 	last      sim.Time
 }
 
-func (b *tokenBucket) setRate(rate, burst int64, now sim.Time) {
+func (b *tokenBucket) setRate(rate int64, now sim.Time) {
 	b.refill(now)
 	b.rateBps = rate
-	b.burstBits = burst
-	if b.bits > burst {
-		b.bits = burst
-		b.rem = 0
-	}
 }
 
 func (b *tokenBucket) refill(now sim.Time) {
@@ -194,7 +192,7 @@ func (s *msgSource) enqueue(m pendMsg) {
 	s.curRem = int(m.bytes)
 	s.draining = true
 	c := &s.classes[m.class]
-	s.bucket.setRate(c.rateBps, c.burstBits, s.eng.Now())
+	s.bucket.setRate(c.rateBps, s.eng.Now())
 	s.drain.Handle(0)
 }
 
@@ -234,7 +232,7 @@ func (d *msgDrain) Handle(uint64) {
 			s.cur = m
 			s.curRem = int(m.bytes)
 			c := &s.classes[m.class]
-			s.bucket.setRate(c.rateBps, c.burstBits, now)
+			s.bucket.setRate(c.rateBps, now)
 		}
 	}
 }

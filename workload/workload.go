@@ -12,7 +12,7 @@
 //     elephant/mice mixes. A class sends back-to-back bursts or paces
 //     through a precise per-source token bucket.
 //   - Flows: long-lived CBR UDP flows between uniform-random pairs (the
-//     scale harness's default workload), or bounded TCP transfers.
+//     scale harness's default workload).
 //   - Incast: partition-aggregate request/response rounds — aggregators
 //     fan requests to a random worker subset each period and the workers'
 //     synchronized responses collide on the aggregator's edge link.
@@ -130,33 +130,22 @@ type Class struct {
 	// > 0 paces the message through the source's token bucket at this
 	// rate — the precise pacing a real sender's shaper would apply.
 	RateBps int64
-	// BurstBytes is the token bucket depth while this class transmits
-	// (default 2 packets' worth).
-	BurstBytes int
 }
 
-// FlowSpec generates long-lived flows between uniform-random host pairs —
-// the "uniform random flows" workload, plus a bounded TCP variant.
+// FlowSpec generates long-lived CBR UDP flows between uniform-random host
+// pairs — the "uniform random flows" workload.
 type FlowSpec struct {
 	// Flows is the number of flows (required).
 	Flows int
-	// RateBps is the CBR rate of each UDP flow.
+	// RateBps is the CBR rate of each flow.
 	RateBps int64
-	// PktSize is the wire bytes per UDP packet (default 1500) or the TCP
-	// MSS payload (default 1440).
+	// PktSize is the wire bytes per packet (default 1500).
 	PktSize int
 	// DstPort is the destination port (default 9100).
 	DstPort uint16
 	// MaxStart jitters each flow's start uniformly in [0, MaxStart)
 	// (default 1 ms) so flows do not phase-lock.
 	MaxStart sim.Time
-	// TCP switches from CBR UDP to congestion-controlled TCP transfers of
-	// MsgBytes each.
-	TCP bool
-	// MsgBytes bounds each TCP transfer (default 1 MB). Ignored for UDP.
-	MsgBytes int
-	// AckEvery is the TCP receiver's delayed-ACK factor (default 2).
-	AckEvery int
 }
 
 // IncastSpec generates partition-aggregate traffic: each aggregator
@@ -167,9 +156,6 @@ type IncastSpec struct {
 	// Aggregators selects aggregator hosts by Attach index; nil means the
 	// group's first source host.
 	Aggregators []int
-	// Workers selects responder hosts by Attach index; nil means all of
-	// the group's hosts. An aggregator never queries itself.
-	Workers []int
 	// FanIn is how many distinct workers each round queries (required;
 	// capped at the worker count).
 	FanIn int
@@ -211,10 +197,8 @@ type Runner struct {
 	// Sinks are the receive-side counters, in creation order (destination
 	// hosts of each group, group order).
 	Sinks []*transport.Sink
-	// UDPFlows and TCPFlows are the long-lived flows of Flow groups.
+	// UDPFlows are the long-lived flows of Flow groups.
 	UDPFlows []*transport.UDPFlow
-	// TCPFlows are bounded transfers; each completes on its own.
-	TCPFlows []*transport.TCPFlow
 
 	groups  []*groupRun
 	sources []halter
@@ -258,7 +242,6 @@ type groupRun struct {
 	sources        int
 	sinkLo, sinkHi int
 	udpLo, udpHi   int
-	tcpLo, tcpHi   int
 
 	msgs     atomic.Uint64 // messages / ON bursts / incast rounds started
 	msgBytes atomic.Uint64 // offered application bytes
@@ -316,10 +299,6 @@ func (r *Runner) Stats() []GroupStats {
 			gs.Packets += f.TxPkts
 			gs.Bytes += f.TxBytes
 		}
-		for _, f := range r.TCPFlows[g.tcpLo:g.tcpHi] {
-			gs.Packets += f.TxDataPkts
-			gs.Bytes += f.TxDataBytes
-		}
 		out[i] = gs
 	}
 	return out
@@ -343,7 +322,7 @@ func (r *Runner) Fingerprint() string {
 
 // Attach compiles the Spec onto live hosts (already wired into a topology)
 // and arms every generator. The host slice order defines the stable indices
-// Hosts/Dst/Aggregators/Workers refer to and the per-source seed streams —
+// Hosts/Dst/Aggregators refer to and the per-source seed streams —
 // pass hosts in a deterministic order (topology constructors already do).
 func (s Spec) Attach(hosts []*host.Host) (*Runner, error) {
 	if len(hosts) == 0 {
@@ -422,7 +401,7 @@ func compileGroup(s Spec, gi int, g *Group, hosts []*host.Host, r *Runner) error
 	if gr.name == "" {
 		gr.name = fmt.Sprintf("g%d", gi)
 	}
-	gr.sinkLo, gr.udpLo, gr.tcpLo = len(r.Sinks), len(r.UDPFlows), len(r.TCPFlows)
+	gr.sinkLo, gr.udpLo = len(r.Sinks), len(r.UDPFlows)
 	seed := groupSeed(s, gi, g)
 	var err error
 	switch {
@@ -442,7 +421,7 @@ func compileGroup(s Spec, gi int, g *Group, hosts []*host.Host, r *Runner) error
 	if err != nil {
 		return err
 	}
-	gr.sinkHi, gr.udpHi, gr.tcpHi = len(r.Sinks), len(r.UDPFlows), len(r.TCPFlows)
+	gr.sinkHi, gr.udpHi = len(r.Sinks), len(r.UDPFlows)
 	r.groups = append(r.groups, gr)
 	return nil
 }
@@ -490,14 +469,7 @@ func compileMessages(g *Group, gr *groupRun, hosts []*host.Host, seed int64, r *
 		weights[ci] = w
 		wsum += w
 		msum += w * c.Sizes.Mean()
-		burst := int64(c.BurstBytes) * 8
-		if burst == 0 {
-			burst = int64(2*(pktSize+transport.HeaderBytes)) * 8
-		}
-		if burst > 1<<30 {
-			burst = 1 << 30
-		}
-		classes[ci] = msgClass{sizes: c.Sizes, rateBps: c.RateBps, burstBits: burst}
+		classes[ci] = msgClass{sizes: c.Sizes, rateBps: c.RateBps}
 		if c.RateBps > 0 {
 			paced = true
 		}
@@ -517,7 +489,7 @@ func compileMessages(g *Group, gr *groupRun, hosts []*host.Host, seed int64, r *
 		if c.rateBps == 0 {
 			pkts = (c.sizes.MaxBytes() + pktSize - 1) / pktSize
 		} else {
-			pkts = int(c.burstBits/int64(8*(pktSize+transport.HeaderBytes))) + 2
+			pkts = bucketPkts + 2
 		}
 		if pkts > reserve {
 			reserve = pkts
@@ -574,6 +546,7 @@ func compileMessages(g *Group, gr *groupRun, hosts []*host.Host, seed int64, r *
 		}
 		if paced {
 			src.drain = &msgDrain{s: src}
+			src.bucket.burstBits = bucketPkts * int64(pktSize+transport.HeaderBytes) * 8
 			src.pend.buf = make([]pendMsg, pendCap)
 		}
 		gr.sources++
@@ -598,11 +571,7 @@ func compileFlows(g *Group, gr *groupRun, hosts []*host.Host, seed int64, r *Run
 	}
 	pktSize := f.PktSize
 	if pktSize == 0 {
-		if f.TCP {
-			pktSize = 1440
-		} else {
-			pktSize = 1500
-		}
+		pktSize = 1500
 	}
 	dstPort := f.DstPort
 	if dstPort == 0 {
@@ -622,34 +591,6 @@ func compileFlows(g *Group, gr *groupRun, hosts []*host.Host, seed int64, r *Run
 	}
 	if len(cand) < 2 {
 		return errors.New("Flows needs at least 2 hosts")
-	}
-	if f.TCP {
-		ackEvery := f.AckEvery
-		if ackEvery == 0 {
-			ackEvery = 2
-		}
-		msgBytes := f.MsgBytes
-		if msgBytes == 0 {
-			msgBytes = 1 << 20
-		}
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < f.Flows; i++ {
-			si := rng.Intn(len(cand))
-			di := rng.Intn(len(cand))
-			for di == si {
-				di = rng.Intn(len(cand))
-			}
-			dport := dstPort + uint16(i)
-			transport.NewTCPSink(cand[di], dport, ackEvery)
-			fl := transport.NewTCPFlow(cand[si], cand[di].ID(), uint16(sportBase+i), dport, pktSize)
-			fl.SetMessage(msgBytes)
-			r.TCPFlows = append(r.TCPFlows, fl)
-			start := g.Start + sim.Time(rng.Int63n(int64(maxStart)))
-			cand[si].Engine().Schedule(start, tcpStarter{fl}, 0)
-		}
-		gr.sources += f.Flows
-		r.nsrc += f.Flows
-		return nil
 	}
 	// Draw order the golden fingerprints pin: sinks on every candidate
 	// first, then one shared group RNG drawing src, dst,
@@ -700,8 +641,3 @@ func (u udpHalter) Handle(arg uint64) {
 		u.f.Stop()
 	}
 }
-
-// tcpStarter starts a canned TCP flow at its jittered start instant.
-type tcpStarter struct{ f *transport.TCPFlow }
-
-func (s tcpStarter) Handle(uint64) { s.f.Start() }
