@@ -102,7 +102,7 @@ func TestEmpiricalValidation(t *testing.T) {
 	bad := [][]CDFPoint{
 		nil,
 		{{Bytes: 100, P: 1}},
-		{{Bytes: 100, P: 0.5}, {Bytes: 50, P: 1}},   // bytes not increasing
+		{{Bytes: 100, P: 0.5}, {Bytes: 50, P: 1}},    // bytes not increasing
 		{{Bytes: 100, P: 0.5}, {Bytes: 200, P: 0.5}}, // P not increasing
 		{{Bytes: 100, P: 0.5}, {Bytes: 200, P: 0.9}}, // does not end at 1
 	}
